@@ -1,8 +1,7 @@
-// Whole-binary allocation counter for the perf benches: replaces the
+// Whole-binary allocation counter for bench_zone_ops: replaces the
 // global operator new/delete family with a malloc-backed version that
-// bumps one relaxed atomic, so a bench can report allocs/op or
-// allocs/run for everything the library does.  Include exactly once per
-// bench binary (each bench is a single translation unit; the
+// bumps one relaxed atomic, so the bench can report allocs/op for
+// everything the library does.  Include exactly once per binary (the
 // replacement functions must not be defined twice in one program).
 //
 // GCC pairs `new` expressions it inlined before seeing the replacement

@@ -9,7 +9,7 @@
 // Each row reports ops/s and allocs/op from a whole-binary operator-new
 // counter: the zone free list should hold allocs/op at ~0 for every
 // steady-state op, so a regression in the pool shows up here before it
-// shows up in BENCH_verify.json.
+// shows up in a proof's wall time.
 //
 // A second table pins the kernel dispatch (set_zone_kernels_for_test) to
 // run the kernel-bound ops under the scalar and the SIMD implementations

@@ -102,9 +102,9 @@ struct CampaignReport {
   /// of budget (bench mains turn this into their exit code).
   bool ok() const;
 
-  /// Machine-readable report on the shared JSON layer (api::JobResult and
-  /// the BENCH_*.json artifacts embed this tree).  Non-finite aggregates
-  /// (a zero-wall campaign's runs_per_second) render as null, not "nan".
+  /// Machine-readable report on the shared JSON layer (api::JobResult
+  /// embeds this tree).  Non-finite aggregates (a zero-wall campaign's
+  /// runs_per_second) render as null, not "nan".
   util::Json to_json() const;
   /// Inverse of to_json for the aggregate view (strict; util::JsonError
   /// on unknown keys or malformed values) — how the result cache rebuilds

@@ -420,7 +420,7 @@ Json to_json(const ScenarioDocument& doc) {
 }
 
 Json to_json(const ScenarioParams& params) {
-  return to_json(ScenarioDocument{params, "", std::nullopt});
+  return to_json(ScenarioDocument{params, "", std::nullopt, {}});
 }
 
 Json to_json_sparse(const ScenarioDocument& doc) {

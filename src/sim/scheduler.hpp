@@ -73,7 +73,7 @@ class Scheduler {
   std::uint64_t pending_events() const { return live_; }
 
   /// Slab capacity (allocated slots, live or free) — observability for the
-  /// perf bench and the slab-reuse tests.
+  /// slab-reuse tests.
   std::size_t slab_slots() const { return slots_.size(); }
 
  private:

@@ -2,7 +2,7 @@
 // parser and a writer, shared by every surface that speaks JSON — the
 // campaign report (CampaignReport::json()), the scenario files
 // (scenarios/serialize), the job API (api::Job / api::JobResult), the
-// bench JSON artifacts (BENCH_*.json), and the `pte` CLI.  It replaces
+// perfbench harness, and the `pte` CLI.  It replaces
 // the hand-rolled string assembly (and its per-binary json_escape
 // copies) that used to live in each of those places.
 //

@@ -116,25 +116,6 @@ std::string Histogram::render(std::size_t max_width) const {
   return out;
 }
 
-Json Histogram::to_json() const {
-  Json bins = Json::array();
-  for (std::size_t b = 0; b < counts_.size(); ++b) {
-    Json bin = Json::object();
-    bin.set("lo", bin_lo(b));
-    bin.set("hi", bin_hi(b));
-    bin.set("count", counts_[b]);
-    bins.push_back(std::move(bin));
-  }
-  Json out = Json::object();
-  out.set("lo", lo_);
-  out.set("hi", hi_);
-  out.set("total", total_);
-  out.set("underflow", underflow_);
-  out.set("overflow", overflow_);
-  out.set("bins", std::move(bins));
-  return out;
-}
-
 double quantile(std::vector<double> xs, double q) {
   PTE_REQUIRE(!xs.empty(), "quantile of empty sample");
   PTE_REQUIRE(q >= 0.0 && q <= 1.0, "quantile order must be in [0,1]");

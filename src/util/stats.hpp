@@ -52,8 +52,8 @@ class RunningStats {
 /// overflow looks artificially flat).  They are counted separately as
 /// `underflow()` / `overflow()`; `total()` still includes them so
 /// delivery-ratio style computations stay correct, while `bin_count()`
-/// only ever reports in-range mass.  Reports (summary(), render(),
-/// BENCH_campaign.json) surface the out-of-range counts explicitly.
+/// only ever reports in-range mass.  Reports (summary(), render())
+/// surface the out-of-range counts explicitly.
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
@@ -75,10 +75,6 @@ class Histogram {
   /// Render as an ASCII bar chart (used by bench output); out-of-range
   /// counts are appended as a footer line when non-zero.
   std::string render(std::size_t max_width = 50) const;
-
-  /// {"lo", "hi", "bins": [...], "underflow", "overflow"} — the
-  /// BENCH_*.json histogram blocks all come from here now.
-  Json to_json() const;
 
  private:
   double lo_;

@@ -12,7 +12,7 @@ namespace ptecps::util {
 template <typename... Args>
 std::string cat(const Args&... args) {
   std::ostringstream os;
-  (os << ... << args);
+  ((os << args), ...);
   return os.str();
 }
 

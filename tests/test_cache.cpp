@@ -215,9 +215,10 @@ TEST(ServiceCache, MatrixSecondPassIsAllHits) {
     EXPECT_EQ(wv->states_stored, cv->states_stored);
     EXPECT_EQ(wv->transitions, cv->transitions);
     ASSERT_EQ(wv->counterexample.has_value(), cv->counterexample.has_value());
-    if (wv->counterexample.has_value())
+    if (wv->counterexample.has_value()) {
       EXPECT_EQ(wv->counterexample->to_json().dump_canonical(),
                 cv->counterexample->to_json().dump_canonical());
+    }
   }
 
   // A solo run of a matrix-cached scenario hits the same entry.

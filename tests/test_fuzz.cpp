@@ -265,8 +265,8 @@ TEST(FuzzCampaign, CoverageCurveIsMonotone) {
 // discrete-state fingerprint sketches AND at least one more verdict-flip
 // region than --blind generation.  Everything here is deterministic
 // (fixed seed, no wall-clock budget, thread-count-invariant sketches),
-// so the margin is stable — the companion bench (bench_fuzz.cpp) reports
-// the multi-seed picture.
+// so the margin is stable.  `pte fuzz --json` (with and without --blind)
+// prints the coverage curves for other seeds and budgets.
 TEST(FuzzCampaign, GuidedBeatsBlindAtEqualBudgetAndSeed) {
   const api::Service service;
   FuzzOptions guided = small_campaign(5, 96);

@@ -348,8 +348,9 @@ TEST(CrossValidation, EveryAttackerFamilyAgreesAcrossBothLowerings) {
     specs.push_back(build(p));
     // A budgeted attacker owns the prover's ammunition: floor(0.5*4).
     // The benign kind keeps the scenario's own (smoke-capped) bound.
-    if (family.kind != attack::AttackerModel::Kind::kNone)
+    if (family.kind != attack::AttackerModel::Kind::kNone) {
       EXPECT_EQ(specs.back().verify.max_losses, 2u) << p.name;
+    }
   }
 
   const campaign::CampaignReport report = campaign::CampaignRunner().run(specs);

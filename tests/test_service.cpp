@@ -1,9 +1,9 @@
 // The daemon layer: admission-queue semantics (priority order, explicit
 // rejection, drain/stop lifecycle), the framed wire format, and a real
-// Server end to end on an ephemeral port — framed submissions match an
-// in-process Service::run on every deterministic field, the HTTP shim
-// serves /healthz, /metrics and /run, and drain rejects new work while
-// still answering what was admitted.
+// Server end to end on an ephemeral port — framed submissions of every
+// registry entry match an in-process Service::run on every deterministic
+// field, the HTTP shim serves /healthz, /metrics and /run, and drain
+// rejects new work while still answering what was admitted.
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "api/service.hpp"
+#include "scenarios/registry.hpp"
 #include "service/queue.hpp"
 #include "service/server.hpp"
 #include "util/json.hpp"
@@ -143,32 +144,47 @@ Json smoke_job_json(const std::string& name) {
   return job;
 }
 
+// Every registry entry: the daemon's answer equals an in-process run on
+// every deterministic field — verdict, proof counts and the
+// counterexample's canonical bytes.
 TEST(Server, FramedJobMatchesInProcessExecution) {
   service::ServerOptions options;
   options.workers = 2;
   service::Server server(options);
   server.start();
 
-  Json envelope = Json::object();
-  envelope.set("job", smoke_job_json("adversarial-drop"));
-  envelope.set("id", "req-1");
-  const Json resp = framed_request(server.port(), envelope);
-  EXPECT_TRUE(resp.at("ok").as_bool()) << resp.dump(2);
-  EXPECT_EQ(resp.at("id").as_string(), "req-1");
-  const api::JobResult remote = api::JobResult::from_json(resp.at("result"));
+  for (const scenarios::RegistryEntry& entry : scenarios::registry()) {
+    SCOPED_TRACE(entry.name);
+    Json envelope = Json::object();
+    envelope.set("job", smoke_job_json(entry.name));
+    envelope.set("id", "req-" + entry.name);
+    const Json resp = framed_request(server.port(), envelope);
+    ASSERT_TRUE(resp.at("ok").as_bool()) << resp.dump(2);
+    EXPECT_EQ(resp.at("id").as_string(), "req-" + entry.name);
+    const api::JobResult remote = api::JobResult::from_json(resp.at("result"));
 
-  api::Job job = api::Job::from_json(smoke_job_json("adversarial-drop"));
-  job.tuning.threads = 1;  // the daemon's per-job default
-  const api::JobResult local = api::Service().run(job);
+    api::Job job = api::Job::from_json(smoke_job_json(entry.name));
+    job.tuning.threads = 1;  // the daemon's per-job default
+    const api::JobResult local = api::Service().run(job);
 
-  EXPECT_EQ(remote.verdict, local.verdict);
-  EXPECT_EQ(remote.ok, local.ok);
-  ASSERT_TRUE(remote.report.has_value());
-  const auto& rv = remote.report->scenarios[0].verification;
-  const auto& lv = local.report->scenarios[0].verification;
-  ASSERT_TRUE(rv.has_value());
-  EXPECT_EQ(rv->states_explored, lv->states_explored);
-  EXPECT_EQ(rv->transitions, lv->transitions);
+    EXPECT_EQ(remote.verdict, local.verdict);
+    EXPECT_EQ(remote.ok, local.ok);
+    ASSERT_TRUE(remote.report.has_value());
+    ASSERT_TRUE(local.report.has_value());
+    const auto& rv = remote.report->scenarios[0].verification;
+    const auto& lv = local.report->scenarios[0].verification;
+    ASSERT_TRUE(rv.has_value());
+    ASSERT_TRUE(lv.has_value());
+    EXPECT_EQ(rv->status, lv->status);
+    EXPECT_EQ(rv->states_explored, lv->states_explored);
+    EXPECT_EQ(rv->states_stored, lv->states_stored);
+    EXPECT_EQ(rv->transitions, lv->transitions);
+    ASSERT_EQ(rv->counterexample.has_value(), lv->counterexample.has_value());
+    if (rv->counterexample.has_value()) {
+      EXPECT_EQ(rv->counterexample->to_json().dump_canonical(),
+                lv->counterexample->to_json().dump_canonical());
+    }
+  }
 
   server.drain();
 }
