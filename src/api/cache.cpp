@@ -18,7 +18,9 @@ namespace fs = std::filesystem;
 namespace {
 
 constexpr std::string_view kResultSchema = "ptecps-cache-result";
-constexpr std::int64_t kResultSchemaVersion = 1;
+// v2 entries carry no expectation, and cross_validation only when their
+// key asked for it; an entry of any other version reads as a miss.
+constexpr std::int64_t kResultSchemaVersion = 2;
 
 std::optional<std::string> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);

@@ -5,6 +5,7 @@
 #include <exception>
 #include <map>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "scenarios/canonical.hpp"
@@ -43,39 +44,284 @@ void finalize_verdict(JobResult& result, const std::optional<verify::VerifyStatu
               (!result.crossval.has_value() || result.crossval->ok());
 }
 
-/// A job's answer carved out of a matrix campaign, in the exact shape
-/// Service::run would have produced solo — what run_matrix stores per
-/// miss.  Campaign-level wall numbers stand in for the would-be solo
-/// run's: timing is metadata, not part of the cached contract.
-JobResult single_scenario_result(const campaign::ScenarioOutcome& outcome,
-                                 const campaign::CampaignReport& fresh,
-                                 const std::optional<scenarios::CrossCheck>& check) {
-  JobResult single;
-  single.scenario = outcome.name;
+/// A job's answer carved out of the campaign that ran it: the job's
+/// scenario outcome as a one-scenario report, its verdict, and — only
+/// when the job asked — its cross-validation.  The one producer of a
+/// fresh JobResult: what run() returns, what the cache stores, and what
+/// run_matrix() rows and merged report are built from, so a key's stored
+/// entry does not depend on which entry point wrote it.  It carries no
+/// expectation (not part of the key).  Campaign-level threads and wall
+/// numbers stand in for a solo run's: timing is metadata, not part of
+/// the cached contract.
+JobResult carve_result(campaign::ScenarioOutcome outcome, const campaign::CampaignReport& fresh,
+                       bool cross_validate) {
+  JobResult result;
+  result.scenario = outcome.name;
   campaign::CampaignReport sub;
   sub.threads = fresh.threads;
   sub.wall_seconds = fresh.wall_seconds;
   sub.runs_per_second = fresh.runs_per_second;
-  sub.total_runs = outcome.runs.size();
+  sub.total_runs = outcome.runs.size() + outcome.failed_runs;
   sub.total_violations = outcome.total_violations;
+  sub.failed_runs = outcome.failed_runs;
   sub.censored_sessions = outcome.censored_sessions;
+  // The campaign names each error "<scenario>[<seed>|verify]: ...".
+  for (const std::string& e : fresh.errors)
+    if (e.starts_with(outcome.name) && e.compare(outcome.name.size(), 1, "[") == 0)
+      sub.errors.push_back(e);
   if (outcome.verification.has_value()) {
-    single.proof_status = outcome.verification->status;
-    single.verdict = verify::verify_status_str(*single.proof_status);
-    if (*single.proof_status == verify::VerifyStatus::kProved) sub.specs_proved = 1;
+    result.proof_status = outcome.verification->status;
+    result.verdict = verify::verify_status_str(*result.proof_status);
+    if (*result.proof_status == verify::VerifyStatus::kProved) sub.specs_proved = 1;
     if (outcome.verification->counterexample.has_value()) sub.specs_with_counterexample = 1;
   } else {
-    single.verdict = outcome.total_violations > 0 ? "sampled-violations" : "sampled-clean";
+    result.verdict = outcome.total_violations > 0 ? "sampled-violations" : "sampled-clean";
   }
-  sub.scenarios.push_back(outcome);
-  single.report = std::move(sub);
-  if (check.has_value()) {
-    scenarios::CrossValidationReport xval;
-    xval.checks.push_back(*check);
-    single.crossval = std::move(xval);
+  sub.scenarios.push_back(std::move(outcome));
+  if (cross_validate) result.crossval = scenarios::cross_validate(sub);
+  result.report = std::move(sub);
+  finalize_verdict(result, std::nullopt);
+  return result;
+}
+
+/// One Service call's jobs, carried through the pipeline.
+struct Batch {
+  /// Job i's answer, in job order: its expectation applied and its own
+  /// cache counters set.
+  std::vector<JobResult> answers;
+  /// Answer i ran its own campaign slot: neither a cache hit nor a
+  /// dedup copy of an earlier identical job.
+  std::vector<bool> ran;
+  /// Why the batch stopped short: the first job that did not resolve
+  /// (later jobs are unanswered), or the campaign's throw (every answer
+  /// that needed the campaign carries it too).
+  std::optional<std::string> error;
+  /// The call's totals: hits, campaign slots as misses, resumes.
+  CacheCounters cache;
+  std::size_t deduped = 0;
+  /// The campaign over the misses; its outcomes are moved into answers.
+  campaign::CampaignReport fresh;
+};
+
+/// The one job pipeline behind run() and run_matrix(): resolve every
+/// job, answer the hits from the cache, run the misses as ONE campaign,
+/// carve each job's answer out of it, and store the fresh answers.
+Batch run_jobs(const ResultCache* cache, std::span<const Job> jobs) {
+  Batch batch;
+  batch.cache.enabled = cache != nullptr;
+  batch.answers.resize(jobs.size());
+
+  struct Prepared {
+    std::optional<verify::VerifyStatus> expected;
+    scenarios::ScenarioParams params;
+    campaign::ScenarioSpec spec;
+    std::string result_key;
+    bool hit = false;
+  };
+  std::vector<Prepared> prep(jobs.size());
+  std::size_t threads = 0;  // 0 = hardware concurrency
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    const Job& job = jobs[i];
+    Prepared& p = prep[i];
+    JobResult& answer = batch.answers[i];
+    answer.verdict = "error";
+    answer.cache.enabled = cache != nullptr;
+    try {
+      const scenarios::ScenarioDocument doc = resolve_scenario(job);
+      answer.scenario = doc.params.name;
+      p.expected = job.expected.has_value() ? job.expected : doc.expected;
+      answer.expected = p.expected;
+      p.params = resolved_params(job, doc);
+      p.spec = scenarios::build(p.params);
+    } catch (const std::exception& e) {
+      answer.errors.push_back(e.what());
+      batch.error = e.what();
+      return batch;
+    }
+    threads = std::max(threads, job.threads);
+    if (cache == nullptr) continue;
+    p.result_key = cache->result_key(p.params, job.cross_validate);
+    if (std::optional<util::Json> stored = cache->load_result(p.result_key)) {
+      try {
+        JobResult hit = JobResult::from_json(*stored);
+        if (hit.report.has_value() && !hit.report->scenarios.empty()) {
+          answer = std::move(hit);
+          answer.cache.hits = 1;
+          p.hit = true;
+        }
+      } catch (const std::exception&) {
+        // Corrupt entry: a miss, which the store below overwrites.
+      }
+    }
   }
-  finalize_verdict(single, std::nullopt);
-  return single;
+
+  // Hits are answered from storage; the misses run as ONE campaign.
+  // Sound because per-scenario outcomes are independent of how a
+  // campaign is split — each run derives everything from its own seed
+  // and each spec is verified in isolation.  Identical jobs (same
+  // canonical params digest — name, budgets, seeds, everything
+  // semantic) collapse onto one campaign slot: the proof runs once and
+  // the answer fans out to every duplicate row in job order.
+  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> slot_of(jobs.size(), kNoSlot);
+  std::vector<campaign::ScenarioSpec> specs;
+  std::vector<std::string> checkpoint_keys;  // per slot; empty = no warm resume
+  std::map<std::string, std::size_t> slot_by_digest;
+  batch.ran.assign(jobs.size(), false);
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    if (prep[i].hit) {
+      ++batch.cache.hits;
+      continue;
+    }
+    std::size_t slot = specs.size();
+    if (jobs.size() > 1)  // a lone job has nothing to dedup against
+      slot = slot_by_digest.try_emplace(scenarios::params_digest(prep[i].params), slot)
+                 .first->second;
+    slot_of[i] = slot;
+    if (slot < specs.size()) {
+      ++batch.deduped;
+      continue;
+    }
+    batch.ran[i] = true;
+    specs.push_back(std::move(prep[i].spec));
+    checkpoint_keys.push_back(cache != nullptr &&
+                                      prep[i].params.mode != campaign::RunMode::kMonteCarlo
+                                  ? cache->checkpoint_key(prep[i].params)
+                                  : std::string());
+  }
+  batch.cache.misses = specs.size();
+
+  campaign::CampaignOptions options;
+  options.threads = threads;
+  std::vector<verify::Checkpoint> resumes(specs.size());
+  std::vector<verify::Checkpoint> captures(specs.size());
+  options.resume.assign(specs.size(), nullptr);
+  options.capture.assign(specs.size(), nullptr);
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    if (checkpoint_keys[s].empty()) continue;
+    if (std::optional<verify::Checkpoint> ck = cache->load_checkpoint(checkpoint_keys[s])) {
+      resumes[s] = std::move(*ck);
+      options.resume[s] = &resumes[s];
+    }
+    options.capture[s] = &captures[s];
+  }
+
+  campaign::CampaignReport& fresh = batch.fresh;
+  fresh.threads = threads > 0 ? threads : 1;
+  if (!specs.empty()) {
+    try {
+      fresh = campaign::CampaignRunner(options).run(specs);
+    } catch (const std::exception& e) {
+      batch.error = e.what();
+    }
+  }
+
+  if (batch.error.has_value()) {
+    for (std::size_t i = 0; i < jobs.size(); ++i)
+      if (slot_of[i] != kNoSlot) batch.answers[i].errors.push_back(*batch.error);
+  } else {
+    // Captured only with a cache (the slot has a checkpoint key).
+    for (std::size_t s = 0; s < specs.size(); ++s)
+      if (!captures[s].empty()) cache->store_checkpoint(checkpoint_keys[s], captures[s]);
+
+    // Store only out of a fully clean campaign — run/verify errors are
+    // not attributable per scenario with certainty; kOutOfBudget IS
+    // deterministic and cacheable, with its frontier stored above.
+    // Dedup rows can still carry a distinct result_key (cross_validate
+    // is part of the key but not of the campaign digest), so store each
+    // key once.
+    const bool store = cache != nullptr && fresh.errors.empty() && fresh.failed_runs == 0;
+    std::set<std::string> stored_keys;
+    // A slot's last row takes its outcome by move; dedup rows before it
+    // copy (a sampled outcome carries every run).
+    std::vector<std::size_t> rows_left(specs.size(), 0);
+    for (const std::size_t slot : slot_of)
+      if (slot != kNoSlot) ++rows_left[slot];
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const std::size_t slot = slot_of[i];
+      if (slot == kNoSlot) continue;
+      campaign::ScenarioOutcome& outcome = fresh.scenarios[slot];
+      JobResult& answer = batch.answers[i];
+      answer = carve_result(
+          --rows_left[slot] == 0 ? std::move(outcome) : campaign::ScenarioOutcome(outcome),
+          fresh, jobs[i].cross_validate);
+      if (store && stored_keys.insert(prep[i].result_key).second)
+        cache->store_result(prep[i].result_key, answer.scenario, answer.to_json());
+    }
+  }
+
+  // Counters and the job's own expectation go on last, so the stored
+  // form above carries neither.
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    JobResult& answer = batch.answers[i];
+    answer.cache.enabled = cache != nullptr;
+    if (batch.ran[i] && cache != nullptr) answer.cache.misses = 1;
+    if (!answer.report.has_value()) continue;  // the campaign threw
+    // Resume accounting is per executed verification, not per row.
+    const auto& verification = answer.report->scenarios[0].verification;
+    if (batch.ran[i] && verification.has_value() && verification->resumed)
+      answer.cache.resumes = 1;
+    batch.cache.resumes += answer.cache.resumes;
+    finalize_verdict(answer, prep[i].expected);
+  }
+  return batch;
+}
+
+/// run_matrix()'s answer assembled from the batch: one row per job, and
+/// every job's answer merged into one report in job order.
+MatrixResult matrix_result(Batch batch) {
+  MatrixResult result;
+  result.cache = batch.cache;
+  result.deduped = batch.deduped;
+  if (batch.answers.empty()) batch.error = "matrix needs at least one job";
+  if (batch.error.has_value()) {
+    result.errors.push_back(std::move(*batch.error));
+    return result;
+  }
+
+  campaign::CampaignReport merged;
+  merged.threads = batch.fresh.threads;
+  merged.wall_seconds = batch.fresh.wall_seconds;
+  merged.runs_per_second = batch.fresh.runs_per_second;
+  merged.errors = std::move(batch.fresh.errors);
+  scenarios::CrossValidationReport merged_xval;
+  bool all_ok = true;
+  for (std::size_t i = 0; i < batch.answers.size(); ++i) {
+    JobResult& answer = batch.answers[i];
+    campaign::CampaignReport& report = *answer.report;
+    campaign::ScenarioOutcome& outcome = report.scenarios[0];
+
+    MatrixRow row;
+    row.scenario = outcome.name;
+    // Only the row that actually executed its campaign slot reports the
+    // compute wall; cache hits AND dedup copies answered without running
+    // report 0 (see MatrixRow::wall_ms).
+    row.wall_ms = batch.ran[i] ? outcome_wall_ms(outcome) : 0.0;
+    row.expected = answer.expected;
+    row.status = answer.proof_status;
+    row.expected_match = answer.expected_match;
+    if (answer.crossval.has_value()) {
+      for (scenarios::CrossCheck& check : answer.crossval->checks) {
+        row.consistent = row.consistent && check.consistent;
+        merged_xval.checks.push_back(std::move(check));
+      }
+    }
+    all_ok = all_ok && row.expected_match && row.consistent;
+    result.rows.push_back(std::move(row));
+
+    merged.total_runs += report.total_runs;
+    merged.total_violations += report.total_violations;
+    merged.failed_runs += report.failed_runs;
+    merged.censored_sessions += report.censored_sessions;
+    merged.specs_proved += report.specs_proved;
+    merged.specs_with_counterexample += report.specs_with_counterexample;
+    merged.scenarios.push_back(std::move(outcome));
+  }
+
+  result.report = std::move(merged);
+  result.crossval = std::move(merged_xval);
+  result.ok = result.report->ok() && all_ok;
+  return result;
 }
 
 }  // namespace
@@ -118,309 +364,16 @@ Service::Service(ServiceOptions options) : options_(std::move(options)) {
 
 JobResult Service::run(const Job& job) const {
   const auto t0 = std::chrono::steady_clock::now();
-  JobResult result = run_job(job);
+  JobResult result = std::move(run_jobs(cache_.get(), {&job, 1}).answers[0]);
   // Timing is observed here, never stored: a hit reports its own wall.
   result.wall_ms = ms_since(t0);
   return result;
 }
 
-JobResult Service::run_job(const Job& job) const {
-  JobResult result;
-  result.verdict = "error";
-  result.cache.enabled = cache_ != nullptr;
-
-  scenarios::ScenarioDocument doc;
-  scenarios::ScenarioParams params;
-  campaign::ScenarioSpec spec;
-  std::optional<verify::VerifyStatus> expected;
-  try {
-    doc = resolve_scenario(job);
-    result.scenario = doc.params.name;
-    expected = job.expected.has_value() ? job.expected : doc.expected;
-    result.expected = expected;
-    params = resolved_params(job, doc);
-    spec = scenarios::build(params);
-  } catch (const std::exception& e) {
-    result.errors.push_back(e.what());
-    return result;
-  }
-
-  std::string result_key;
-  if (cache_ != nullptr) {
-    result_key = cache_->result_key(params, job.cross_validate);
-    if (std::optional<util::Json> stored = cache_->load_result(result_key)) {
-      try {
-        JobResult hit = JobResult::from_json(*stored);
-        hit.cache.enabled = true;
-        hit.cache.hits = 1;
-        finalize_verdict(hit, expected);
-        return hit;
-      } catch (const std::exception&) {
-        // Corrupt entry: fall through to a cold run, which overwrites it.
-      }
-    }
-    result.cache.misses = 1;
-  }
-
-  campaign::CampaignOptions options;
-  options.threads = job.threads > 0 ? job.threads : options_.default_threads;
-  verify::Checkpoint resume_ck;
-  verify::Checkpoint capture_ck;
-  std::string checkpoint_key;
-  if (cache_ != nullptr && params.mode != campaign::RunMode::kMonteCarlo) {
-    checkpoint_key = cache_->checkpoint_key(params);
-    if (std::optional<verify::Checkpoint> ck = cache_->load_checkpoint(checkpoint_key)) {
-      resume_ck = std::move(*ck);
-      options.resume.push_back(&resume_ck);
-    }
-    options.capture.push_back(&capture_ck);
-  }
-  try {
-    result.report = campaign::CampaignRunner(options).run(spec);
-  } catch (const std::exception& e) {
-    result.errors.push_back(e.what());
-    return result;
-  }
-
-  const campaign::CampaignReport& report = *result.report;
-  const campaign::ScenarioOutcome& outcome = report.scenarios[0];
-  if (outcome.verification.has_value()) {
-    result.proof_status = outcome.verification->status;
-    result.verdict = verify::verify_status_str(*result.proof_status);
-    if (outcome.verification->resumed) result.cache.resumes = 1;
-  } else {
-    result.verdict = outcome.total_violations > 0 ? "sampled-violations" : "sampled-clean";
-  }
-  if (job.cross_validate) result.crossval = scenarios::cross_validate(report);
-  finalize_verdict(result, expected);
-
-  if (cache_ != nullptr) {
-    if (!capture_ck.empty()) cache_->store_checkpoint(checkpoint_key, capture_ck);
-    // Only clean outcomes are worth remembering (an error or a crashed
-    // run is not a deterministic fact about the scenario); kOutOfBudget
-    // IS deterministic and cacheable — with its frontier stored above.
-    if (result.errors.empty() && report.failed_runs == 0 && report.errors.empty()) {
-      JobResult to_store = result;
-      to_store.cache = CacheCounters{};  // no "cache" key in the stored form
-      cache_->store_result(result_key, to_store.scenario, to_store.to_json());
-    }
-  }
-  return result;
-}
-
 MatrixResult Service::run_matrix(const std::vector<Job>& jobs) const {
   const auto t0 = std::chrono::steady_clock::now();
-  MatrixResult result = run_matrix_jobs(jobs);
+  MatrixResult result = matrix_result(run_jobs(cache_.get(), jobs));
   result.wall_ms = ms_since(t0);
-  return result;
-}
-
-MatrixResult Service::run_matrix_jobs(const std::vector<Job>& jobs) const {
-  MatrixResult result;
-  result.cache.enabled = cache_ != nullptr;
-  if (jobs.empty()) {
-    result.errors.push_back("matrix needs at least one job");
-    return result;
-  }
-
-  struct PreparedJob {
-    std::optional<verify::VerifyStatus> expected;
-    bool cross_validate = true;
-    scenarios::ScenarioParams params;
-    campaign::ScenarioSpec spec;
-    std::string result_key;
-    std::optional<JobResult> hit;
-  };
-  std::vector<PreparedJob> prep;
-  std::size_t threads = options_.default_threads;
-  prep.reserve(jobs.size());
-  for (const Job& job : jobs) {
-    try {
-      PreparedJob p;
-      const scenarios::ScenarioDocument doc = resolve_scenario(job);
-      p.expected = job.expected.has_value() ? job.expected : doc.expected;
-      p.cross_validate = job.cross_validate;
-      p.params = resolved_params(job, doc);
-      p.spec = scenarios::build(p.params);
-      if (cache_ != nullptr) {
-        p.result_key = cache_->result_key(p.params, p.cross_validate);
-        if (std::optional<util::Json> stored = cache_->load_result(p.result_key)) {
-          try {
-            JobResult hit = JobResult::from_json(*stored);
-            if (hit.report.has_value() && !hit.report->scenarios.empty())
-              p.hit = std::move(hit);
-          } catch (const std::exception&) {
-            // Corrupt entry: treat as a miss.
-          }
-        }
-      }
-      prep.push_back(std::move(p));
-    } catch (const std::exception& e) {
-      result.errors.push_back(e.what());
-      return result;
-    }
-    threads = std::max(threads, job.threads);
-  }
-
-  // Hits are answered from storage; the misses run as ONE campaign.
-  // Sound because per-scenario outcomes are independent of how a
-  // campaign is split — each run derives everything from its own seed
-  // and each spec is verified in isolation.  Identical jobs (same
-  // canonical params digest — name, budgets, seeds, everything
-  // semantic) collapse onto one campaign slot: the proof runs once and
-  // the answer fans out to every duplicate row in job order.
-  constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
-  std::vector<std::size_t> miss;  // owning prep index per campaign slot
-  std::vector<campaign::ScenarioSpec> specs;
-  std::vector<std::size_t> slot_of(prep.size(), kNoSlot);
-  std::map<std::string, std::size_t> slot_by_digest;
-  for (std::size_t i = 0; i < prep.size(); ++i) {
-    if (prep[i].hit.has_value()) {
-      ++result.cache.hits;
-      continue;
-    }
-    const auto [it, inserted] =
-        slot_by_digest.try_emplace(scenarios::params_digest(prep[i].params), specs.size());
-    slot_of[i] = it->second;
-    if (!inserted) {
-      ++result.deduped;
-      continue;
-    }
-    miss.push_back(i);
-    specs.push_back(prep[i].spec);
-  }
-  result.cache.misses = miss.size();
-
-  campaign::CampaignOptions options;
-  options.threads = threads;
-  std::vector<verify::Checkpoint> resumes(miss.size());
-  std::vector<verify::Checkpoint> captures(miss.size());
-  if (cache_ != nullptr && !miss.empty()) {
-    options.resume.assign(miss.size(), nullptr);
-    options.capture.assign(miss.size(), nullptr);
-    for (std::size_t j = 0; j < miss.size(); ++j) {
-      const PreparedJob& p = prep[miss[j]];
-      if (p.params.mode == campaign::RunMode::kMonteCarlo) continue;
-      if (std::optional<verify::Checkpoint> ck =
-              cache_->load_checkpoint(cache_->checkpoint_key(p.params))) {
-        resumes[j] = std::move(*ck);
-        options.resume[j] = &resumes[j];
-      }
-      options.capture[j] = &captures[j];
-    }
-  }
-
-  campaign::CampaignReport fresh;
-  fresh.threads = threads > 0 ? threads : 1;
-  if (!specs.empty()) {
-    try {
-      fresh = campaign::CampaignRunner(options).run(specs);
-    } catch (const std::exception& e) {
-      result.errors.push_back(e.what());
-      return result;
-    }
-  }
-  const scenarios::CrossValidationReport fresh_xval =
-      specs.empty() ? scenarios::CrossValidationReport{} : scenarios::cross_validate(fresh);
-
-  // Map campaign slot -> cross-validation check index (one check per
-  // verified slot, in campaign order).
-  std::vector<std::size_t> check_of_slot(specs.size(), kNoSlot);
-  {
-    std::size_t next_check = 0;
-    for (std::size_t s = 0; s < fresh.scenarios.size(); ++s)
-      if (fresh.scenarios[s].verification.has_value()) check_of_slot[s] = next_check++;
-  }
-
-  // Merge back into one report + row list in job order.
-  campaign::CampaignReport merged;
-  merged.threads = fresh.threads;
-  merged.wall_seconds = fresh.wall_seconds;
-  merged.runs_per_second = fresh.runs_per_second;
-  merged.errors = fresh.errors;
-  scenarios::CrossValidationReport merged_xval;
-  std::vector<std::optional<scenarios::CrossCheck>> fresh_checks(prep.size());
-  bool all_ok = true;
-  for (std::size_t i = 0; i < prep.size(); ++i) {
-    campaign::ScenarioOutcome outcome;
-    bool consistent = true;
-    if (prep[i].hit.has_value()) {
-      JobResult& hit = *prep[i].hit;
-      outcome = std::move(hit.report->scenarios[0]);
-      if (hit.crossval.has_value() && !hit.crossval->checks.empty()) {
-        consistent = hit.crossval->checks[0].consistent;
-        merged_xval.checks.push_back(std::move(hit.crossval->checks[0]));
-      }
-    } else {
-      const std::size_t slot = slot_of[i];
-      outcome = fresh.scenarios[slot];  // copy: a slot may answer several rows
-      if (outcome.verification.has_value()) {
-        const scenarios::CrossCheck& check = fresh_xval.checks[check_of_slot[slot]];
-        consistent = check.consistent;
-        fresh_checks[i] = check;
-        merged_xval.checks.push_back(check);
-      }
-      // Resume accounting is per executed verification, not per row.
-      if (miss[slot] == i && outcome.verification.has_value() &&
-          outcome.verification->resumed)
-        ++result.cache.resumes;
-    }
-
-    MatrixRow row;
-    row.scenario = outcome.name;
-    // Only the row that actually executed its campaign slot reports the
-    // compute wall; cache hits AND dedup copies answered without running
-    // report 0 (see MatrixRow::wall_ms).
-    const bool executed = !prep[i].hit.has_value() && miss[slot_of[i]] == i;
-    row.wall_ms = executed ? outcome_wall_ms(outcome) : 0.0;
-    row.expected = prep[i].expected;
-    if (outcome.verification.has_value()) {
-      row.status = outcome.verification->status;
-      row.consistent = consistent || !prep[i].cross_validate;
-    }
-    row.expected_match = !row.expected.has_value() ||
-                         (row.status.has_value() && *row.status == *row.expected);
-    all_ok = all_ok && row.expected_match && row.consistent;
-    result.rows.push_back(std::move(row));
-
-    merged.total_runs += outcome.runs.size();
-    merged.total_violations += outcome.total_violations;
-    merged.failed_runs += outcome.failed_runs;
-    merged.censored_sessions += outcome.censored_sessions;
-    if (outcome.verification.has_value()) {
-      if (outcome.verification->status == verify::VerifyStatus::kProved)
-        ++merged.specs_proved;
-      if (outcome.verification->counterexample.has_value())
-        ++merged.specs_with_counterexample;
-    }
-    merged.scenarios.push_back(std::move(outcome));
-  }
-
-  if (cache_ != nullptr && !miss.empty()) {
-    for (std::size_t j = 0; j < miss.size(); ++j) {
-      if (!captures[j].empty())
-        cache_->store_checkpoint(cache_->checkpoint_key(prep[miss[j]].params), captures[j]);
-    }
-    // Store the misses only out of a fully clean campaign — run/verify
-    // errors are not attributable per scenario with certainty.  Deduped
-    // rows can still carry a distinct result_key (cross_validate is part
-    // of the key but not the campaign digest), so walk every non-hit row
-    // and store each key once.
-    if (fresh.errors.empty() && fresh.failed_runs == 0) {
-      std::set<std::string> stored_keys;
-      for (std::size_t i = 0; i < prep.size(); ++i) {
-        if (prep[i].hit.has_value()) continue;
-        if (!stored_keys.insert(prep[i].result_key).second) continue;
-        const JobResult single =
-            single_scenario_result(merged.scenarios[i], fresh, fresh_checks[i]);
-        cache_->store_result(prep[i].result_key, single.scenario, single.to_json());
-      }
-    }
-  }
-
-  result.report = std::move(merged);
-  result.crossval = std::move(merged_xval);
-  result.ok = result.report->ok() && all_ok;
   return result;
 }
 

@@ -30,9 +30,6 @@ scenarios::ScenarioParams resolved_params(const Job& job,
                                           const scenarios::ScenarioDocument& doc);
 
 struct ServiceOptions {
-  /// Fallback Monte-Carlo thread count for jobs that leave threads == 0
-  /// (0 = hardware concurrency).
-  std::size_t default_threads = 0;
   /// Root of the content-addressed result cache (api/cache.hpp); empty
   /// (the default) disables caching entirely.  Created when missing;
   /// Service construction throws with a path diagnostic when unusable.
@@ -49,33 +46,33 @@ class Service {
  public:
   explicit Service(ServiceOptions options = {});
 
-  /// Execute one job end to end.  With a cache configured: a stored
-  /// result for the job's canonical scenario is returned directly (the
-  /// expectation and ok flag re-derived against THIS job, since the
-  /// asserted expectation is not part of the key); on a miss an
-  /// out-of-budget verification's frontier is stored, and a later run
-  /// with a strictly larger state budget warm-resumes it.  Cached and
-  /// resumed verdicts, counterexamples, and state counts are
-  /// bit-identical to a cold run's; JobResult::cache carries the
-  /// hit/miss/resume accounting.
+  /// Execute one job end to end: the one-job case of run_matrix()'s
+  /// pipeline, timed.  With a cache configured: a stored result for the
+  /// job's canonical scenario is returned directly (the expectation and
+  /// ok flag re-derived against THIS job, since the asserted expectation
+  /// is not part of the key); on a miss an out-of-budget verification's
+  /// frontier is stored, and a later run with a strictly larger state
+  /// budget warm-resumes it.  Cached and resumed verdicts,
+  /// counterexamples, and state counts are bit-identical to a cold
+  /// run's; JobResult::cache carries the hit/miss/resume accounting.
   JobResult run(const Job& job) const;
 
   /// Execute several jobs as ONE campaign: every Monte-Carlo run shares
   /// the thread pool and the report merges deterministically, exactly
-  /// like the scenario matrix.  Row i answers job i.  With a cache,
-  /// jobs whose scenarios hit are answered from storage and only the
-  /// misses run (sound: per-scenario outcomes are independent of how a
-  /// campaign is split); the merged report lists every scenario in job
-  /// order either way.
+  /// like the scenario matrix.  Row i answers job i; a job that does not
+  /// resolve fails the whole matrix.  With a cache, jobs whose scenarios
+  /// hit are answered from storage and only the misses run (sound:
+  /// per-scenario outcomes are independent of how a campaign is split);
+  /// the merged report lists every scenario in job order either way.
+  /// run() and run_matrix() share one pipeline, so a stored entry is the
+  /// same whichever of them wrote it: no expectation, and a
+  /// cross-validation block only when the job asked for one.
   MatrixResult run_matrix(const std::vector<Job>& jobs) const;
 
   /// The configured cache, or nullptr (the `pte cache` subcommands).
   const ResultCache* cache() const { return cache_.get(); }
 
  private:
-  JobResult run_job(const Job& job) const;
-  MatrixResult run_matrix_jobs(const std::vector<Job>& jobs) const;
-
   ServiceOptions options_;
   std::unique_ptr<ResultCache> cache_;
 };

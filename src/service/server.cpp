@@ -12,7 +12,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
 #include <list>
 #include <mutex>
@@ -35,6 +34,11 @@ using steady_clock = std::chrono::steady_clock;
 double ms_since(steady_clock::time_point t0) {
   return std::chrono::duration<double, std::milli>(steady_clock::now() - t0).count();
 }
+
+/// Prover and sampler threads per job when the job pins none.  The pool
+/// already parallelizes across jobs, so `workers` x hardware concurrency
+/// would oversubscribe the host.
+constexpr std::size_t kJobThreads = 1;
 
 /// What one request handling produced; the two transports render it
 /// differently (frame payload vs HTTP status + body).
@@ -67,7 +71,6 @@ struct Server::Impl {
 
   std::thread acceptor;
   std::vector<std::thread> workers;
-  std::thread gc_thread;
 
   /// Connections are list nodes so references stay stable; a finished
   /// handler marks `done` and the acceptor reaps it on the next accept.
@@ -80,9 +83,6 @@ struct Server::Impl {
   std::list<Conn> conns;
 
   std::atomic<bool> draining{false};
-  std::mutex gc_mu;
-  std::condition_variable gc_cv;
-  bool gc_stop = false;
 
   std::once_flag drain_once;
 
@@ -94,15 +94,13 @@ struct Server::Impl {
   // --- policy --------------------------------------------------------------
 
   /// Server-side defaults and caps applied to every admitted job: the
-  /// state-budget ceiling, and thread counts of 1 unless the job pins
-  /// its own (the pool parallelizes across jobs; per-job hardware
-  /// concurrency on top would oversubscribe `workers`-fold).
+  /// state-budget ceiling, and kJobThreads unless the job pins its own.
   void apply_job_policy(api::Job& job) const {
     if (options.max_states_cap > 0 && (job.tuning.max_states == 0 ||
                                        job.tuning.max_states > options.max_states_cap))
       job.tuning.max_states = options.max_states_cap;
-    if (job.tuning.threads == 0) job.tuning.threads = options.job_verify_threads;
-    if (job.threads == 0) job.threads = options.job_mc_threads;
+    if (job.tuning.threads == 0) job.tuning.threads = kJobThreads;
+    if (job.threads == 0) job.threads = kJobThreads;
   }
 
   // --- request handling (transport-independent) ----------------------------
@@ -319,18 +317,6 @@ struct Server::Impl {
     listener.close();
   }
 
-  void gc_loop() {
-    const auto period = std::chrono::duration<double>(options.gc_interval_s);
-    std::unique_lock<std::mutex> lock(gc_mu);
-    while (!gc_stop) {
-      gc_cv.wait_for(lock, period);
-      if (gc_stop) break;
-      lock.unlock();
-      if (svc.cache() != nullptr) svc.cache()->gc();
-      lock.lock();
-    }
-  }
-
   void do_start() {
     listener = util::tcp_listen(options.host, options.port);
     listen_port = util::bound_port(listener);
@@ -340,8 +326,6 @@ struct Server::Impl {
     for (std::size_t i = 0; i < worker_count; ++i)
       workers.emplace_back([this] { worker_loop(); });
     acceptor = std::thread([this] { accept_loop(); });
-    if (options.gc_interval_s > 0.0 && svc.cache() != nullptr)
-      gc_thread = std::thread([this] { gc_loop(); });
   }
 
   /// The drain sequence; runs exactly once (drain()/wait() both funnel
@@ -364,16 +348,10 @@ struct Server::Impl {
     for (Conn& conn : conns)
       if (conn.thread.joinable()) conn.thread.join();
     conns.clear();
-    // Every owed response is on the wire; stop the pool and flush.
+    // Every owed response is on the wire; stop the pool.  The cache
+    // needs no final gc: each store evicts down to the cap.
     queue.stop();
     for (std::thread& worker : workers) worker.join();
-    {
-      std::lock_guard<std::mutex> lock(gc_mu);
-      gc_stop = true;
-    }
-    gc_cv.notify_all();
-    if (gc_thread.joinable()) gc_thread.join();
-    if (svc.cache() != nullptr) svc.cache()->gc();
   }
 };
 

@@ -18,8 +18,9 @@
 // rejects instead of latency collapse.
 //
 // Drain (SIGTERM in `pted`, drain() here): stop accepting, reject every
-// job not yet admitted, finish and answer everything in flight, flush
-// the cache (final gc), then return from wait().  Responses are never
+// job not yet admitted, finish and answer everything in flight, then
+// return from wait().  The cache needs no final pass: each store evicts
+// down to the size cap before it returns.  Responses are never
 // truncated: a connection's read side is shut first, its write side only
 // closes after the last owed response is on the wire.
 #pragma once
@@ -48,16 +49,8 @@ struct ServerOptions {
   /// budget (or pins one above the cap) run with max_states = cap, so a
   /// single huge proof cannot hold a worker forever.  0 = no cap.
   std::uint64_t max_states_cap = 0;
-  /// Prover threads per job when the job pins none.  The pool already
-  /// parallelizes across jobs, so the sane daemon default is 1 —
-  /// `workers` x hardware-concurrency oversubscription is the trap.
-  std::uint64_t job_verify_threads = 1;
-  /// Same for a job's Monte-Carlo worker count.
-  std::size_t job_mc_threads = 1;
   /// Cache configuration (api::ServiceOptions::cache_dir enables it).
   api::ServiceOptions service;
-  /// Background cache gc period in seconds; <= 0 disables the thread.
-  double gc_interval_s = 0.0;
 };
 
 class Server {
@@ -65,8 +58,8 @@ class Server {
   explicit Server(ServerOptions options);
   ~Server();
 
-  /// Bind + listen + spawn acceptor, workers and (optionally) the gc
-  /// thread.  Throws util::SockError / std::runtime_error on failure.
+  /// Bind + listen + spawn the acceptor and workers.  Throws
+  /// util::SockError / std::runtime_error on failure.
   void start();
   /// The bound port (valid after start()).
   int port() const;

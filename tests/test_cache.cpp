@@ -1,12 +1,15 @@
 // The content-addressed result cache (api/cache.hpp) and its wiring
 // through Service::run / run_matrix: hits reproduce cold verdicts
-// bit-for-bit, expectations are re-derived per job, out-of-budget
-// frontiers warm-resume, and the store degrades (never errors) on
-// corruption and stays under its size cap.
+// bit-for-bit, expectations are re-derived per job, an entry does not
+// depend on which entry point stored it, out-of-budget frontiers
+// warm-resume, and the store degrades (never errors) on corruption and
+// stays under its size cap.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <string>
 
 #include "api/service.hpp"
@@ -55,6 +58,19 @@ std::string fingerprint(const JobResult& r) {
     for (const scenarios::CrossCheck& c : r.crossval->checks)
       out += util::cat(";xval:", c.scenario, "=", c.consistent);
   return out;
+}
+
+/// `j` with the named keys dropped at every depth: wall-clock numbers
+/// and per-call counters are metadata, not part of an answer.
+util::Json without(util::Json j, const std::set<std::string>& keys) {
+  if (j.is_object()) {
+    util::Json::Object& members = j.as_object();
+    std::erase_if(members, [&](const util::Json::Member& m) { return keys.contains(m.first); });
+    for (util::Json::Member& m : members) m.second = without(std::move(m.second), keys);
+  } else if (j.is_array()) {
+    for (util::Json& e : j.as_array()) e = without(std::move(e), keys);
+  }
+  return j;
 }
 
 /// A deliberately broken registry entry — its cached entry must carry
@@ -224,6 +240,37 @@ TEST(ServiceCache, MatrixSecondPassIsAllHits) {
   // A solo run of a matrix-cached scenario hits the same entry.
   const JobResult solo = service.run(smoke_job(violating));
   EXPECT_EQ(solo.cache.hits, 1u);
+}
+
+TEST(ServiceCache, EntryIsTheSameWhicheverEntryPointStoredIt) {
+  const std::set<std::string> timing = {"wall_seconds", "runs_per_second", "wall_mean_s",
+                                        "wall_p50_s", "wall_p99_s"};
+  std::set<std::string> per_call = timing;
+  per_call.insert({"wall_ms", "cache"});
+  for (const bool cross_validate : {true, false}) {
+    SCOPED_TRACE(util::cat("cross_validate=", cross_validate));
+    Job job = smoke_job("laser-tracheotomy");
+    job.cross_validate = cross_validate;
+    const std::string tag = cross_validate ? "xval" : "no-xval";
+    const Service by_run = cached_service(fresh_dir("entry-run-" + tag));
+    const Service by_matrix = cached_service(fresh_dir("entry-matrix-" + tag));
+    by_run.run(job);
+    by_matrix.run_matrix({job});
+
+    const std::string key =
+        by_run.cache()->result_key(resolved_params(job, resolve_scenario(job)), cross_validate);
+    const std::optional<util::Json> from_run = by_run.cache()->load_result(key);
+    const std::optional<util::Json> from_matrix = by_matrix.cache()->load_result(key);
+    ASSERT_TRUE(from_run.has_value());
+    ASSERT_TRUE(from_matrix.has_value());
+    EXPECT_EQ(without(*from_run, timing).dump(2), without(*from_matrix, timing).dump(2));
+
+    // A hit on the matrix-stored entry answers like a cache-less cold run.
+    const JobResult hit = by_matrix.run(job);
+    ASSERT_EQ(hit.cache.hits, 1u);
+    EXPECT_EQ(without(hit.to_json(), per_call).dump(2),
+              without(Service().run(job).to_json(), per_call).dump(2));
+  }
 }
 
 }  // namespace

@@ -8,8 +8,7 @@
 //   GET /healthz    "ok" while serving, 503 "draining" during shutdown
 //   GET /metrics    jobs/s, p50/p95 latency, queue depth, cache hit rate
 //   SIGTERM/SIGINT  graceful drain: stop accepting, reject queued-out
-//                   jobs, finish everything in flight, flush the cache,
-//                   exit 0
+//                   jobs, finish everything in flight, exit 0
 //
 // --port 0 binds an ephemeral port; --port-file FILE writes the bound
 // port (atomically, as one "PORT\n" line) so a harness can start pted,
@@ -44,9 +43,7 @@ constexpr const char* kUsage =
     "  --max-states-cap N   cap any job's verify state budget (default: none)\n"
     "  --cache-dir DIR      shared result cache (or PTE_CACHE_DIR)\n"
     "  --no-cache           ignore PTE_CACHE_DIR, run cache-less\n"
-    "  --cache-max-bytes N  cache size cap for gc\n"
-    "  --gc-interval S      background cache gc period in seconds\n"
-    "                       (default 300 when a cache is configured)\n"
+    "  --cache-max-bytes N  cache size cap, enforced at every store\n"
     "\n"
     "SIGTERM or SIGINT drains gracefully and exits 0.\n";
 
@@ -77,7 +74,7 @@ int main(int argc, char** argv) {
   const util::ArgParser args(argc, argv,
                              {"host", "port", "port-file", "workers", "queue-depth",
                               "max-connections", "max-states-cap", "cache-dir",
-                              "no-cache", "cache-max-bytes", "gc-interval", "help"});
+                              "no-cache", "cache-max-bytes", "help"});
   if (args.has_flag("help")) {
     std::fputs(kUsage, stdout);
     return 0;
@@ -104,7 +101,6 @@ int main(int argc, char** argv) {
         args.get_u64("cache-max-bytes", options.service.cache_max_bytes);
   }
   const bool cached = !options.service.cache_dir.empty();
-  options.gc_interval_s = args.get_double("gc-interval", cached ? 300.0 : 0.0);
 
   if (::pipe(g_signal_pipe) != 0) {
     std::fprintf(stderr, "error: pipe(): %s\n", std::strerror(errno));
