@@ -6,7 +6,6 @@
 #include <sstream>
 
 #include "scenarios/canonical.hpp"
-#include "util/require.hpp"
 #include "util/text.hpp"
 
 namespace fs = std::filesystem;
@@ -23,28 +22,6 @@ CorpusEntry* Corpus::add(CorpusEntry entry) {
   if (entry.bucket.empty()) entry.bucket = structure_bucket(entry.doc.params);
   entries_.push_back(std::move(entry));
   return &entries_.back();
-}
-
-CorpusEntry& Corpus::select(sim::Rng& rng) {
-  PTE_REQUIRE(!entries_.empty(), "select() on an empty corpus");
-  double total = 0.0;
-  for (const CorpusEntry& e : entries_) total += e.energy;
-  double x = rng.uniform01() * total;
-  CorpusEntry* winner = &entries_.back();
-  for (CorpusEntry& e : entries_) {
-    x -= e.energy;
-    if (x <= 0.0) {
-      winner = &e;
-      break;
-    }
-  }
-  ++winner->children;
-  // Harmonic decay: an entry that has spawned k mutations weighs
-  // base/(k+1), so fresh coverage-bearing entries dominate scheduling
-  // without ever starving the rest.
-  winner->energy = winner->energy * static_cast<double>(winner->children) /
-                   static_cast<double>(winner->children + 1);
-  return *winner;
 }
 
 std::size_t Corpus::save(const std::string& dir, std::vector<std::string>& errors) const {

@@ -1,7 +1,6 @@
 // The fuzzing corpus: retained scenario documents keyed by their
 // canonical content digest (scenarios::params_digest), with the
-// coverage each one earned when it executed and an energy score the
-// scheduler spends.
+// coverage each one earned when it executed.
 //
 // Dedup is content-addressed: two documents that differ only in key
 // order, whitespace, or float spelling are ONE corpus entry — the same
@@ -23,7 +22,6 @@
 
 #include "fuzz/grammar.hpp"
 #include "scenarios/serialize.hpp"
-#include "sim/random.hpp"
 #include "verify/checker.hpp"
 
 namespace ptecps::fuzz {
@@ -42,11 +40,6 @@ struct CorpusEntry {
   verify::StateSketch sketch;
   /// Prover verdict of the entry's execution, when one ran.
   std::optional<verify::VerifyStatus> status;
-  /// Scheduling energy: raised for entries that brought novel coverage,
-  /// decayed as mutations are scheduled off them.
-  double energy = 1.0;
-  /// Mutations drawn from this entry so far.
-  std::size_t children = 0;
 };
 
 class Corpus {
@@ -65,12 +58,6 @@ class Corpus {
 
   /// Documents rejected by content dedup since construction/load.
   std::size_t dedup_rejects() const { return dedup_rejects_; }
-
-  /// Energy-weighted selection (deterministic: one uniform01 draw
-  /// against the prefix sums, in insertion order).  Increments the
-  /// winner's children count and decays its energy so the scheduler
-  /// rotates instead of fixating.  Empty corpus is a caller error.
-  CorpusEntry& select(sim::Rng& rng);
 
   /// Write every entry to `dir` as sparse JSON (one file per entry,
   /// "<digest16>.json"); returns files written, appends failures to

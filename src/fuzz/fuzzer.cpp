@@ -68,9 +68,8 @@ struct Campaign {
   }
 
   /// A corpus entry with something to probe toward a verdict flip: it
-  /// sits in a bucket that has seen exactly one verdict so far, and the
-  /// bucket has a probe-able boundary (an edge/broken dwell tier, or
-  /// prover-visible ammunition whose count can be re-drawn).
+  /// sits in an edge-tier bucket that has seen exactly one verdict so
+  /// far.
   const CorpusEntry* unflipped_entry() {
     const CorpusEntry* found = nullptr;
     std::size_t seen = 0;
@@ -79,18 +78,18 @@ struct Campaign {
       // Edge tier only: an edge dwell flip changes the verdict AND the
       // truncation point (fresh sketch).  Broken-tier ratios share one
       // projection cell (they truncate identically), so their probes
-      // would be dedup-rejected anyway; ammunition probes in armed
-      // buckets mostly re-truncate at the same discrete prefix — they
-      // buy the flip at the price of a duplicate sketch.
+      // would be dedup-rejected anyway; re-drawn ammunition in armed
+      // buckets mostly re-truncates at the same discrete prefix — it
+      // buys the flip at the price of a duplicate sketch.
       const bool probeable = ends_with(e.bucket, "|edge");
       if (!probeable) continue;
       const auto it = bucket_verdicts.find(e.bucket);
       if (it == bucket_verdicts.end() || it->second == 0 ||
           it->second == (kSawProved | kSawViolation))
         continue;
-      // Some buckets cannot flip (e.g. every positive ammo count breaks
-      // the same deadline) — stop sinking execs into one after a couple
-      // of failed probes; their truncated explorations also collide on
+      // Some buckets cannot flip (every edge fraction yields the same
+      // verdict) — stop sinking execs into one after a couple of failed
+      // probes; their truncated explorations also collide on
       // near-identical sketches.
       if (const auto pc = probe_counts.find(e.bucket);
           pc != probe_counts.end() && pc->second >= 2)
@@ -256,11 +255,6 @@ struct Campaign {
         entry.bucket = bucket;
         entry.sketch = sketch;
         entry.status = row.status;
-        entry.energy = 1.0 + static_cast<double>(novel) / 32.0;
-        // Edge-tier entries are the flip-boundary frontier; mutating
-        // them (dwell re-draws in particular) is how guided mode pairs
-        // proved/violated verdicts inside one structural bucket.
-        if (ends_with(bucket, "|edge")) entry.energy += 1.0;
         corpus.add(std::move(entry));
       }
     }

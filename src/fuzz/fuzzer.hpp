@@ -1,9 +1,9 @@
 // Coverage-guided scenario-space fuzzing: hunt prover/sampler
-// disagreement at scale by driving batches of grammar-generated and
-// corpus-mutated scenario documents through api::Service::run_matrix
-// (so every execution gets the result cache, content dedup, and the
-// deterministic merged report for free) and feeding three signals back
-// into scheduling:
+// disagreement at scale by driving batches of grammar-generated
+// scenario documents and flip probes of corpus entries through
+// api::Service::run_matrix (so every execution gets the result cache,
+// content dedup, and the deterministic merged report for free) and
+// feeding three signals back into scheduling:
 //
 //   1. the exhaustive checker's discrete-state fingerprint sketch
 //      (verify::StateSketch) — which parts of the reachable state space

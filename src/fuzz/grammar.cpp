@@ -2,8 +2,8 @@
 
 #include <cmath>
 #include <exception>
-#include <iterator>
 
+#include "core/synthesis.hpp"
 #include "scenarios/canonical.hpp"
 #include "util/require.hpp"
 #include "util/text.hpp"
@@ -45,6 +45,13 @@ constexpr double kHighFrac = 1.3;
 constexpr double kHorizons[] = {60.0, 120.0};
 constexpr std::uint64_t kSeedBases[] = {1, 101};
 constexpr std::size_t kSeedCounts[] = {2, 3};
+/// Attacker ammunition budgets are drawn from {0, …, kMaxBudget}; the
+/// budget lowers onto the prover's loss ammunition (build()), so this
+/// bounds per-execution proof cost.
+constexpr std::size_t kMaxBudget = 3;
+/// Exhaustive-exploration state cap per execution (keeps one fuzz
+/// execution bounded; out-of-budget is a fine fuzzing outcome).
+constexpr std::size_t kMaxStates = 200'000;
 
 template <typename T, std::size_t N>
 const T& pick(sim::Rng& rng, const T (&set)[N]) {
@@ -88,10 +95,10 @@ AttackerModel draw_attacker(sim::Rng& rng) {
   }
 }
 
-void draw_intensity_budget(sim::Rng& rng, AttackerModel& a, const GrammarOptions& opts) {
+void draw_intensity_budget(sim::Rng& rng, AttackerModel& a) {
   if (a.kind == AttackerModel::Kind::kNone) return;
   a.with_intensity(pick(rng, kIntensities));
-  a.with_budget(rng.uniform_int(opts.max_budget + 1));
+  a.with_budget(rng.uniform_int(kMaxBudget + 1));
 }
 
 void draw_channel(sim::Rng& rng, ScenarioParams& p) {
@@ -132,47 +139,33 @@ void draw_script(sim::Rng& rng, ScenarioParams& p) {
   }
 }
 
-void draw_topology(sim::Rng& rng, ScenarioParams& p, const GrammarOptions& opts) {
-  p.topology = (opts.allow_chained && rng.uniform_int(3) == 0)
-                   ? Topology::kChainedBridge
-                   : Topology::kStar;
-}
-
-void draw_verify(sim::Rng& rng, ScenarioParams& p, const GrammarOptions& opts) {
+void draw_verify(sim::Rng& rng, ScenarioParams& p) {
   p.verify = campaign::VerifySpec{};
   p.verify.max_losses = 1 + rng.uniform_int(2);
   p.verify.max_injections = 1 + rng.uniform_int(2);
   p.verify.max_input_changes = rng.uniform_int(2);
-  p.verify.max_states = opts.max_states;
+  p.verify.max_states = kMaxStates;
 }
 
-void draw_config(sim::Rng& rng, ScenarioParams& p, const GrammarOptions& opts) {
+/// A deployment size N and a pool slot, then that slot's configuration
+/// from its fixed stream.
+core::PatternConfig draw_config(sim::Rng& rng, const GrammarOptions& opts) {
   const std::size_t n = 2 + rng.uniform_int(opts.max_remotes >= 2 ? opts.max_remotes - 1 : 1);
   const std::size_t slot = rng.uniform_int(opts.config_pool ? opts.config_pool : 1);
-  // Preserve the dwell tier across a configuration change: the ceiling
-  // is a fraction of ξ1's lease, and the lease just moved.
-  const double old_lease = p.config.entity(1).t_run_max;
-  const double ratio = old_lease > 0.0 ? p.dwell_bound / old_lease : 0.0;
   sim::Rng config_rng(pool_stream(n, slot));
-  scenarios::SynthesizeOptions so;
-  so.n_remotes = n;
-  so.breakable = false;
-  so.with_traffic = false;
-  const ScenarioParams drawn = scenarios::synthesize_params(config_rng, so);
-  p.config = drawn.config;
-  p.dwell_bound = ratio > 0.0 ? p.config.entity(1).t_run_max * ratio : p.dwell_bound;
+  return random_config(config_rng, n);
 }
 
 ScenarioParams draw_params(sim::Rng& rng, const GrammarOptions& opts) {
   ScenarioParams p;
-  draw_config(rng, p, opts);
+  p.config = draw_config(rng, opts);
   draw_dwell(rng, p);
   p.attacker = draw_attacker(rng);
-  draw_intensity_budget(rng, p.attacker, opts);
+  draw_intensity_budget(rng, p.attacker);
   draw_channel(rng, p);
-  draw_topology(rng, p, opts);
+  p.topology = rng.uniform_int(3) == 0 ? Topology::kChainedBridge : Topology::kStar;
   draw_script(rng, p);
-  draw_verify(rng, p, opts);
+  draw_verify(rng, p);
   p.mode = campaign::RunMode::kBoth;
   p.horizon = pick(rng, kHorizons);
   p.seed_base = pick(rng, kSeedBases);
@@ -203,6 +196,19 @@ ScenarioDocument finish(ScenarioParams p) {
 
 }  // namespace
 
+core::PatternConfig random_config(sim::Rng& rng, std::size_t n_remotes) {
+  core::SynthesisRequest request;
+  request.n_remotes = n_remotes;
+  for (std::size_t i = 0; i + 1 < n_remotes; ++i) {
+    request.t_risky_min.push_back(0.5 + rng.uniform(0.0, 2.0));
+    request.t_safe_min.push_back(0.25 + rng.uniform(0.0, 1.0));
+  }
+  request.initializer_lease = 6.0 + rng.uniform(0.0, 8.0);
+  request.t_wait_max = 1.0 + rng.uniform(0.0, 1.5);
+  request.t_fb_min_0 = 3.0 + rng.uniform(0.0, 4.0);
+  return core::synthesize(request);
+}
+
 void normalize_name(ScenarioParams& params) {
   params.name = "fuzz";
   const std::string digest = scenarios::params_digest(params);
@@ -221,95 +227,27 @@ ScenarioDocument generate(sim::Rng& rng, const GrammarOptions& options) {
   return {};
 }
 
-ScenarioDocument mutate(sim::Rng& rng, const ScenarioDocument& seed,
-                        const GrammarOptions& options) {
-  for (int attempt = 0; attempt < 64; ++attempt) {
-    ScenarioParams p = seed.params;
-    switch (rng.uniform_int(12)) {
-      case 0:
-        p.attacker = draw_attacker(rng);
-        draw_intensity_budget(rng, p.attacker, options);
-        break;
-      case 1:
-        if (p.attacker.kind != AttackerModel::Kind::kNone)
-          p.attacker.with_intensity(pick(rng, kIntensities));
-        break;
-      case 2:
-        if (p.attacker.kind != AttackerModel::Kind::kNone)
-          p.attacker.with_budget(rng.uniform_int(options.max_budget + 1));
-        break;
-      case 3: draw_channel(rng, p); break;
-      case 4: draw_dwell(rng, p); break;
-      case 5: draw_script(rng, p); break;
-      case 6: draw_topology(rng, p, options); break;
-      case 7: draw_config(rng, p, options); break;
-      case 8: p.horizon = pick(rng, kHorizons); break;
-      case 9:
-        p.seed_base = pick(rng, kSeedBases);
-        p.seed_count = pick(rng, kSeedCounts);
-        break;
-      case 10: draw_verify(rng, p, options); break;
-      default:
-        if (rng.uniform_int(2) == 0) {
-          p.with_lease = !p.with_lease;
-        } else {
-          p.deadline_wait = !p.deadline_wait;
-        }
-        break;
-    }
-    if (builds(p)) return finish(std::move(p));
-  }
-  // Every mutation failed validation (e.g. a seed already at the edge of
-  // the chained-path constraint kept drawing incompatible channels) —
-  // fall back to the seed itself, renamed canonically.
-  ScenarioParams p = seed.params;
-  return finish(std::move(p));
-}
-
 ScenarioDocument flip_probe(sim::Rng& rng, const ScenarioDocument& seed,
                             const GrammarOptions& options) {
   ScenarioParams p = seed.params;
   const double lease = p.config.entity(1).t_run_max;
   const double ratio = lease > 0.0 && p.dwell_bound > 0.0 ? p.dwell_bound / lease : 0.0;
-  const auto redraw_within = [&](const double* fracs, std::size_t n) {
-    for (int attempt = 0; attempt < 8; ++attempt) {
-      const double f = fracs[rng.uniform_int(n)];
-      if (std::abs(f - ratio) > 1e-9) {
-        p.dwell_bound = lease * f;
-        return true;
-      }
-    }
-    return false;
-  };
-  bool moved = false;
   // Tier boundaries mirror structure_bucket: re-draw the fraction WITHIN
-  // the seed's tier so the candidate lands in the same structural bucket
+  // the edge tier so the candidate lands in the same structural bucket
   // with a different verdict boundary — the directed move that pairs a
   // proved with a violated execution.
   if (ratio >= 0.85 && ratio <= 1.15) {
-    moved = redraw_within(kEdgeFrac, std::size(kEdgeFrac));
-  } else if (ratio > 0.0 && ratio < 0.85) {
-    moved = redraw_within(kBrokenFrac, std::size(kBrokenFrac));
-  }
-  if (!moved && p.attacker.kind != AttackerModel::Kind::kNone &&
-      p.attacker.losses() > 0) {
-    // Armed bucket outside a probe-able dwell tier: the verdict boundary
-    // runs along prover-visible ammunition instead.  Re-draw
-    // intensity × budget to a DIFFERENT positive loss count — the bucket
-    // stays "attacked", the projection moves.
-    const std::size_t old_losses = p.attacker.losses();
-    for (int attempt = 0; attempt < 8 && !moved; ++attempt) {
-      const double intensity = pick(rng, kIntensities);
-      const std::size_t budget = 1 + rng.uniform_int(options.max_budget);
-      p.attacker.with_intensity(intensity).with_budget(budget);
-      moved = p.attacker.losses() > 0 && p.attacker.losses() != old_losses;
+    for (int attempt = 0; attempt < 8; ++attempt) {
+      const double f = pick(rng, kEdgeFrac);
+      if (std::abs(f - ratio) <= 1e-9) continue;
+      p.dwell_bound = lease * f;
+      if (builds(p)) return finish(std::move(p));
+      break;
     }
-    if (!moved) p.attacker = seed.params.attacker;
   }
-  if (moved && builds(p)) return finish(std::move(p));
-  // Nothing tier- or ammunition-probe-able (calm solid/high seeds) —
-  // fall back to an ordinary structure-aware mutation.
-  return mutate(rng, seed, options);
+  // Not edge-tier, every redraw hit the seed's own fraction, or the
+  // candidate does not build: spend the exec on a fresh document.
+  return generate(rng, options);
 }
 
 std::string structure_bucket(const ScenarioParams& params) {

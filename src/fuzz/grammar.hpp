@@ -1,8 +1,10 @@
-// Structure-aware scenario grammar: generation and mutation over the
-// full schema-v2 ScenarioDocument space — topology, channel timing,
-// every attacker family, intensity and ammunition budget, stimulus
-// scripts, verify budgets — emitting only canonically-valid documents
-// (every candidate passes scenarios::build() before it leaves).
+// Structure-aware scenario grammar: the repo's random-scenario
+// generator.  It draws documents over the full schema-v2
+// ScenarioDocument space — Theorem-1-consistent timing, topology,
+// channel timing, every attacker family, intensity and ammunition
+// budget, stimulus scripts, verify budgets — and emits only
+// canonically-valid ones (every candidate passes scenarios::build()
+// before it leaves).
 //
 // The grammar draws from QUANTIZED knob sets rather than continuous
 // ranges.  Continuous draws would make every candidate's prover-visible
@@ -14,8 +16,10 @@
 // reason AFL buckets hit counts into powers of two.
 #pragma once
 
+#include <cstddef>
 #include <string>
 
+#include "core/config.hpp"
 #include "scenarios/builder.hpp"
 #include "scenarios/serialize.hpp"
 #include "sim/random.hpp"
@@ -25,44 +29,36 @@ namespace ptecps::fuzz {
 struct GrammarOptions {
   /// Deployment sizes drawn from {2, …, max_remotes}.  (N == 1 is
   /// outside the PTE pattern's domain — Rule 2 quantifies over entity
-  /// pairs — and synthesize_params rejects it.)
+  /// pairs — and core::synthesize rejects it.)
   std::size_t max_remotes = 3;
   /// Distinct synthesized timing configurations per deployment size.
   /// Each pool slot is a fixed Rng stream, so slot k of size N is the
   /// same PatternConfig in every campaign — the grid the coverage
   /// metric is defined over.
   std::size_t config_pool = 6;
-  /// Attacker ammunition budgets drawn from {0, …, max_budget}; the
-  /// budget lowers onto the prover's loss ammunition (build()), so this
-  /// bounds per-execution proof cost.
-  std::size_t max_budget = 3;
-  /// Exhaustive-exploration state cap per execution (keeps one fuzz
-  /// execution bounded; out-of-budget is a fine fuzzing outcome).
-  std::size_t max_states = 200'000;
-  /// Permit the chained-bridge topology (star always allowed).
-  bool allow_chained = true;
 };
+
+/// A random Theorem-1-consistent timing configuration for an
+/// `n_remotes`-remote deployment: per-pair risky/safe safeguards
+/// (0.5–2.5 s, 0.25–1.25 s), the initializer lease (6–14 s), T^max_wait
+/// (1–2.5 s) and T^min_fb,0 (3–7 s) drawn uniformly, then completed by
+/// core::synthesize, which throws on n_remotes < 2.  Each pool slot of
+/// the grammar is one such draw.
+core::PatternConfig random_config(sim::Rng& rng, std::size_t n_remotes);
 
 /// A fresh document drawn uniformly from the quantized scenario grid.
 /// Always canonically valid; named "fuzz-<digest12>" from its content.
 scenarios::ScenarioDocument generate(sim::Rng& rng, const GrammarOptions& options = {});
 
-/// One structure-aware mutation of `seed`: a single knob group is
-/// re-drawn (attacker family, intensity/budget, channel timing, dwell
-/// tier, stimulus script, topology, timing configuration, seeds, verify
-/// budgets, lease/deadline toggles).  Candidates that fail build() are
-/// re-drawn a bounded number of times; the result is always valid.
-scenarios::ScenarioDocument mutate(sim::Rng& rng, const scenarios::ScenarioDocument& seed,
-                                   const GrammarOptions& options = {});
-
-/// Directed flip probe: re-draws ONLY the dwell fraction, constrained to
-/// the seed's own tier, so the candidate stays in the seed's structural
-/// bucket while straddling the verdict boundary (0.9 vs 1.1 of the
-/// lease).  The guided scheduler aims this at edge-tier corpus entries
-/// whose bucket has seen a single verdict so far — the cheapest way to
-/// turn a near-miss into a verdict-flip region.  Falls back to an
-/// ordinary mutation when the seed's tier has no alternative fraction
-/// (solid/high).
+/// Directed flip probe: re-draws ONLY the dwell fraction of an
+/// edge-tier seed (0.9 / 1.0 / 1.1 of ξ1's lease), so the candidate
+/// stays in the seed's structural bucket while straddling the verdict
+/// boundary.  The guided scheduler aims this at edge-tier corpus
+/// entries whose bucket has seen a single verdict so far — the cheapest
+/// way to turn a near-miss into a verdict-flip region.  Falls back to a
+/// fresh generate() when the seed is not edge-tier, when eight redraws
+/// all land on the seed's own fraction, or when the candidate does not
+/// build.
 scenarios::ScenarioDocument flip_probe(sim::Rng& rng, const scenarios::ScenarioDocument& seed,
                                        const GrammarOptions& options = {});
 

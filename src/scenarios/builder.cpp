@@ -5,7 +5,6 @@
 
 #include "campaign/context.hpp"
 #include "core/events.hpp"
-#include "core/synthesis.hpp"
 #include "net/star_network.hpp"
 #include "util/require.hpp"
 #include "util/text.hpp"
@@ -193,80 +192,6 @@ campaign::ScenarioSpec build(const ScenarioParams& params) {
     };
   }
   return spec;
-}
-
-// ---------------------------------------------------------------------------
-// synthesize()
-// ---------------------------------------------------------------------------
-
-campaign::ScenarioSpec synthesize(sim::Rng& rng, const SynthesizeOptions& options) {
-  return build(synthesize_params(rng, options));
-}
-
-ScenarioParams synthesize_params(sim::Rng& rng, const SynthesizeOptions& options) {
-  PTE_REQUIRE(options.n_remotes >= 2,
-              "synthesized deployments need N >= 2 (the PTE embedding order is "
-              "over entity pairs)");
-  core::SynthesisRequest request;
-  request.n_remotes = options.n_remotes;
-  for (std::size_t i = 0; i + 1 < options.n_remotes; ++i) {
-    request.t_risky_min.push_back(0.5 + rng.uniform(0.0, 2.0));
-    request.t_safe_min.push_back(0.25 + rng.uniform(0.0, 1.0));
-  }
-  request.initializer_lease = 6.0 + rng.uniform(0.0, 8.0);
-  request.t_wait_max = 1.0 + rng.uniform(0.0, 1.5);
-  request.t_fb_min_0 = 3.0 + rng.uniform(0.0, 4.0);
-
-  ScenarioParams params;
-  params.name = util::cat("synthesized-n", options.n_remotes);
-  params.config = core::synthesize(request);
-  params.mode = options.mode;
-  params.horizon = options.horizon;
-  params.seed_count = options.seed_count;
-  if (options.breakable && rng.bernoulli(0.5)) {
-    // Judge against a ceiling below ξ1's lease: a violation is reachable
-    // without a single loss, so sampler and prover must both find it.
-    params.dwell_bound = params.config.entity(1).t_run_max * rng.uniform(0.3, 0.7);
-    params.name += "-broken";
-  }
-  if (options.with_traffic && options.mode != campaign::RunMode::kVerify) {
-    // Draw the attacker too — family, parameters and intensity — so the
-    // cross-validation sweeps exercise every stochastic lowering the
-    // schema can express, not just i.i.d. loss.  Rates are kept moderate
-    // enough that sessions still complete within the horizon.
-    switch (rng.uniform_int(5)) {
-      case 0: params.attacker = attack::AttackerModel::bernoulli(rng.uniform(0.0, 0.35)); break;
-      case 1:
-        params.attacker = attack::AttackerModel::gilbert_elliott(
-            rng.uniform(0.02, 0.2), rng.uniform(0.2, 0.6), rng.uniform(0.0, 0.1),
-            rng.uniform(0.3, 0.9));
-        break;
-      case 2: {
-        const double period = 1.0 + rng.uniform(0.0, 3.0);
-        params.attacker = attack::AttackerModel::interference(
-            period, period * rng.uniform(0.1, 0.5), rng.uniform(0.5, 1.0),
-            rng.uniform(0.0, 0.1), rng.uniform(0.0, period));
-        break;
-      }
-      case 3:
-        params.attacker = attack::AttackerModel::sustained_jammer(rng.uniform(0.05, 0.4));
-        break;
-      case 4:
-        params.attacker = attack::AttackerModel::reactive_jammer(
-            rng.uniform(0.2, 1.0), rng.uniform(0.1, 1.5), rng.uniform(0.5, 1.0));
-        break;
-    }
-    params.attacker.with_intensity(rng.uniform(0.25, 1.0));
-    // One full session cycle per period: Fall-Back dwell, the lease
-    // chain, and slack for retries.
-    params.script.period = request.t_fb_min_0 +
-                           params.config.entity(options.n_remotes).occupancy() +
-                           2.0 * request.t_wait_max + 2.0;
-    params.script.phase = 2.0;
-    params.script.on_for =
-        rng.bernoulli(0.5) ? 0.6 * params.config.entity(options.n_remotes).t_run_max : 0.0;
-  }
-  return params;
 }
 
 }  // namespace ptecps::scenarios

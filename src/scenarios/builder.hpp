@@ -30,7 +30,6 @@
 #include "core/pattern.hpp"
 #include "net/channel.hpp"
 #include "net/loss_model.hpp"
-#include "sim/random.hpp"
 
 namespace ptecps::scenarios {
 
@@ -125,36 +124,5 @@ struct ScenarioParams {
 /// horizon, a chained topology whose worst-case path outruns the receiver
 /// acceptance window, an empty delivery window.
 campaign::ScenarioSpec build(const ScenarioParams& params);
-
-/// Randomized scenario generation for fuzz-style campaigns: a synthesized
-/// (always Theorem-1-consistent) N-entity configuration, optionally judged
-/// against a deliberately lowered dwell ceiling so half the models carry a
-/// reachable violation.  Promoted from the zone-engine property tests —
-/// the prover/sampler cross-validation sweeps run on exactly these models.
-struct SynthesizeOptions {
-  std::size_t n_remotes = 2;
-  /// With probability 1/2, judge against a dwell ceiling of 30–70 % of
-  /// ξ1's lease — those models have a violation reachable with zero
-  /// losses (expected verdict: kViolation).
-  bool breakable = false;
-  campaign::RunMode mode = campaign::RunMode::kVerify;
-  /// For sampling modes: draw a random attacker (family, parameters and
-  /// intensity — every stochastic lowering the schema can express) and a
-  /// periodic stimulus script sized to the synthesized timing.
-  bool with_traffic = true;
-  double horizon = 120.0;
-  std::size_t seed_count = 4;
-};
-
-campaign::ScenarioSpec synthesize(sim::Rng& rng, const SynthesizeOptions& options = {});
-
-/// The document form of the same draw: every field synthesize() would
-/// lower is visible (and serializable) as a ScenarioParams — the raw
-/// material of the fuzzing grammar (fuzz/grammar.hpp), which mutates
-/// documents, not compiled specs.  synthesize() ≡ build(synthesize_params()).
-/// Throws (PTE_REQUIRE) on n_remotes < 2: single-remote deployments are
-/// outside the PTE pattern's domain — Rule 2 quantifies over entity
-/// pairs, and core::PteMonitor rejects them for the same reason.
-ScenarioParams synthesize_params(sim::Rng& rng, const SynthesizeOptions& options = {});
 
 }  // namespace ptecps::scenarios

@@ -8,6 +8,7 @@
 #include <algorithm>
 
 #include "campaign/scenario.hpp"
+#include "fuzz/grammar.hpp"
 #include "scenarios/builder.hpp"
 #include "sim/random.hpp"
 #include "util/binio.hpp"
@@ -18,13 +19,18 @@
 namespace ptecps::verify {
 namespace {
 
+/// A random Theorem-1-consistent N ∈ {2, 3} model, judged when
+/// `breakable` (with probability 1/2) against a dwell ceiling of 30–70 %
+/// of ξ1's lease.
 CompiledModel synthesized_model(std::uint64_t seed, bool breakable) {
   sim::Rng rng(seed);
-  scenarios::SynthesizeOptions options;
-  options.n_remotes = 2 + static_cast<std::size_t>(rng.uniform_int(2));
-  options.breakable = breakable;
-  const campaign::ScenarioSpec spec = scenarios::synthesize(rng, options);
-  return compile_model(spec.verify_input());
+  const std::size_t n_remotes = 2 + static_cast<std::size_t>(rng.uniform_int(2));
+  scenarios::ScenarioParams params;
+  params.config = fuzz::random_config(rng, n_remotes);
+  params.mode = campaign::RunMode::kVerify;
+  if (breakable && rng.bernoulli(0.5))
+    params.dwell_bound = params.config.entity(1).t_run_max * rng.uniform(0.3, 0.7);
+  return compile_model(scenarios::build(params).verify_input());
 }
 
 VerifyOptions small_budget(std::size_t max_states) {

@@ -1,8 +1,10 @@
 // The scenario-space fuzzing subsystem: grammar validity over the
-// quantized grid, the sketch-relevant projection, content-addressed
-// corpus persistence, the delta-debugging minimizer (idempotence by
-// construction), the injected-disagreement find-and-minimize loop, and
-// the guided-beats-blind acceptance comparison.
+// quantized grid (Theorem-1-consistent timing, flip probes that move
+// only the dwell fraction, verdicts decided by the dwell tier), the
+// sketch-relevant projection, content-addressed corpus persistence, the
+// delta-debugging minimizer (idempotence by construction), the
+// injected-disagreement find-and-minimize loop, and the
+// guided-beats-blind acceptance comparison.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -16,6 +18,8 @@
 #include "api/job.hpp"
 #include "api/service.hpp"
 #include "attack/attacker.hpp"
+#include "campaign/runner.hpp"
+#include "core/constraints.hpp"
 #include "fuzz/corpus.hpp"
 #include "fuzz/fuzzer.hpp"
 #include "fuzz/grammar.hpp"
@@ -61,6 +65,9 @@ TEST(FuzzGrammar, GeneratedDocumentsAreValidCanonicalAndSparseRoundTrip) {
     EXPECT_EQ(renamed.name, doc.params.name);
     // Every candidate builds (the grammar's validity gate) ...
     EXPECT_NO_THROW((void)scenarios::build(doc.params)) << doc.params.name;
+    // ... on a Theorem-1-consistent timing configuration ...
+    EXPECT_TRUE(core::check_theorem1(doc.params.config).ok)
+        << core::check_theorem1(doc.params.config).message();
     // ... and survives the sparse writer round trip bit-for-bit.
     const scenarios::ScenarioDocument back =
         scenarios::document_from_json(scenarios::to_json_sparse(doc));
@@ -68,15 +75,67 @@ TEST(FuzzGrammar, GeneratedDocumentsAreValidCanonicalAndSparseRoundTrip) {
   }
 }
 
-TEST(FuzzGrammar, MutationChainStaysValid) {
+TEST(FuzzGrammar, FlipProbeRedrawsOnlyTheEdgeDwellFraction) {
   sim::Rng rng(11);
-  scenarios::ScenarioDocument doc = generate(rng);
-  for (int i = 0; i < 40; ++i) {
-    doc = mutate(rng, doc);
-    EXPECT_NO_THROW((void)scenarios::build(doc.params)) << doc.params.name;
-    scenarios::ScenarioParams renamed = doc.params;
+  int probed = 0;
+  for (int i = 0; i < 200; ++i) {
+    const scenarios::ScenarioDocument seed = generate(rng);
+    const std::string bucket = structure_bucket(seed.params);
+    if (!bucket.ends_with("|edge")) continue;
+    ++probed;
+    const scenarios::ScenarioDocument probe = flip_probe(rng, seed);
+    EXPECT_NO_THROW((void)scenarios::build(probe.params)) << probe.params.name;
+    scenarios::ScenarioParams renamed = probe.params;
     normalize_name(renamed);
-    EXPECT_EQ(renamed.name, doc.params.name);
+    EXPECT_EQ(renamed.name, probe.params.name);
+    // Same bucket, a different verdict boundary ...
+    EXPECT_EQ(structure_bucket(probe.params), bucket) << probe.params.name;
+    EXPECT_NE(probe.params.dwell_bound, seed.params.dwell_bound) << probe.params.name;
+    // ... and nothing else moved.
+    scenarios::ScenarioDocument rest = probe;
+    rest.params.name = seed.params.name;
+    rest.params.dwell_bound = seed.params.dwell_bound;
+    EXPECT_EQ(rest, seed) << probe.params.name;
+  }
+  EXPECT_GT(probed, 0) << "200 draws should include edge-tier documents";
+}
+
+// The dwell tier alone decides the verdict at the documents' own
+// budgets: a broken ceiling (comfortably below ξ1's lease) is violated
+// without a single loss, and with no explicit ceiling a deployment that
+// keeps the lease and the deadline wait is proved under any adversary —
+// Theorem 1 on the synthesized timing.
+TEST(FuzzGrammar, DwellTierDecidesTheVerdict) {
+  sim::Rng rng(47);
+  GrammarOptions grammar;
+  grammar.max_remotes = 2;
+  std::vector<campaign::ScenarioSpec> specs;
+  std::vector<bool> broken;
+  std::size_t n_broken = 0;
+  std::size_t n_solid = 0;
+  for (int i = 0; i < 200 && (n_broken < 3 || n_solid < 3); ++i) {
+    scenarios::ScenarioParams p = generate(rng, grammar).params;
+    const std::string bucket = structure_bucket(p);
+    const bool is_broken = bucket.ends_with("|broken");
+    const bool is_solid = bucket.ends_with("|solid") && p.with_lease && p.deadline_wait;
+    std::size_t& taken = is_broken ? n_broken : n_solid;
+    if ((!is_broken && !is_solid) || taken >= 3) continue;
+    ++taken;
+    p.mode = campaign::RunMode::kVerify;
+    specs.push_back(scenarios::build(p));
+    broken.push_back(is_broken);
+  }
+  ASSERT_EQ(n_broken, 3u);
+  ASSERT_EQ(n_solid, 3u);
+
+  const campaign::CampaignReport report = campaign::CampaignRunner().run(specs);
+  ASSERT_EQ(report.scenarios.size(), specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    const auto& v = report.scenarios[i].verification;
+    ASSERT_TRUE(v.has_value()) << specs[i].name;
+    EXPECT_EQ(v->status, broken[i] ? verify::VerifyStatus::kViolation
+                                   : verify::VerifyStatus::kProved)
+        << specs[i].name;
   }
 }
 
@@ -118,7 +177,7 @@ TEST(FuzzGrammar, ProjectionDropsSamplerOnlyKnobsAndKeepsProverOnes) {
   EXPECT_NE(prover_projection(p), base);
   p = doc.params;
   sim::Rng other(999);
-  p.config = scenarios::synthesize_params(other, {3}).config;
+  p.config = random_config(other, 3);
   EXPECT_NE(prover_projection(p), base);
 }
 
@@ -280,6 +339,13 @@ TEST(FuzzCampaign, GuidedBeatsBlindAtEqualBudgetAndSeed) {
   // Guided spends its budget on projection-fresh cells, so it must have
   // rejected candidates on the way (blind dedups content digests only).
   EXPECT_GT(g.stats.dedup_skipped, 0u);
+  // Prover and sampler agree on every random deployment, and both
+  // campaigns reach both verdicts.
+  for (const FuzzReport* r : {&g, &b}) {
+    EXPECT_TRUE(r->ok()) << r->to_json().dump();
+    EXPECT_GT(r->stats.proved, 0u);
+    EXPECT_GT(r->stats.violated, 0u);
+  }
 }
 
 TEST(FuzzCampaign, InjectedDisagreementIsFoundAndMinimizedToATinyReproducer) {

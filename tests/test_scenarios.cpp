@@ -1,6 +1,6 @@
 // The scenario library: builder lowering, the named registry, the
-// prover ⇄ sampler cross-validation layer, scenarios::synthesize(), and
-// the PR-4 bugfix regressions (dropped VerifySpec::delivery_min).
+// prover ⇄ sampler cross-validation layer, and the PR-4 bugfix
+// regressions (dropped VerifySpec::delivery_min).
 #include <gtest/gtest.h>
 
 #include <set>
@@ -10,11 +10,9 @@
 #include "attack/attacker.hpp"
 #include "campaign/context.hpp"
 #include "campaign/runner.hpp"
-#include "core/constraints.hpp"
 #include "scenarios/builder.hpp"
 #include "scenarios/crossval.hpp"
 #include "scenarios/registry.hpp"
-#include "sim/random.hpp"
 #include "util/text.hpp"
 
 namespace ptecps::scenarios {
@@ -313,11 +311,6 @@ TEST(CrossValidation, MonteCarloOnlyScenariosAreSkipped) {
   EXPECT_TRUE(crossval.ok());
 }
 
-// ---------------------------------------------------------------------------
-// scenarios::synthesize — the randomized-model generator, promoted from
-// the zone-engine property tests into the reusable fuzz entry point
-// ---------------------------------------------------------------------------
-
 TEST(CrossValidation, EveryAttackerFamilyAgreesAcrossBothLowerings) {
   // One deployment, every attacker family: the stochastic lowering (what
   // the sampler draws losses from) and the prover lowering (ammunition)
@@ -364,111 +357,6 @@ TEST(CrossValidation, EveryAttackerFamilyAgreesAcrossBothLowerings) {
         << specs[i].name;
     EXPECT_EQ(report.scenarios[i].total_violations, 0u) << specs[i].name;
   }
-}
-
-TEST(Synthesize, ConfigsAreAlwaysTheorem1Consistent) {
-  sim::Rng rng(11);
-  for (int i = 0; i < 20; ++i) {
-    SynthesizeOptions options;
-    options.n_remotes = 2 + rng.uniform_int(2);  // N in {2, 3}
-    const campaign::ScenarioSpec spec = synthesize(rng, options);
-    EXPECT_TRUE(core::check_theorem1(spec.config).ok)
-        << core::check_theorem1(spec.config).message();
-    EXPECT_EQ(spec.config.n_remotes, options.n_remotes);
-  }
-}
-
-TEST(Synthesize, FuzzCampaignCrossValidates) {
-  // The fuzz loop the generator exists for: random deployments, half of
-  // them judged against a deliberately lowered dwell ceiling, every one
-  // swept through both modes and cross-checked.
-  sim::Rng rng(21);
-  std::vector<campaign::ScenarioSpec> specs;
-  std::vector<bool> broken;
-  for (int i = 0; i < 6; ++i) {
-    SynthesizeOptions options;
-    options.breakable = true;
-    options.mode = campaign::RunMode::kBoth;
-    options.seed_count = 2;
-    campaign::ScenarioSpec spec = synthesize(rng, options);
-    spec.name += util::cat("-", i);
-    spec.verify.max_losses = 1;
-    spec.verify.max_injections = 1;
-    broken.push_back(spec.dwell_bound > 0.0);
-    specs.push_back(std::move(spec));
-  }
-
-  const campaign::CampaignReport report = campaign::CampaignRunner().run(specs);
-  EXPECT_TRUE(report.ok()) << report.summary();
-  const CrossValidationReport crossval = cross_validate(report);
-  EXPECT_TRUE(crossval.ok()) << crossval.summary();
-
-  std::size_t violations_proved = 0;
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    const auto& v = report.scenarios[i].verification;
-    ASSERT_TRUE(v.has_value());
-    if (broken[i]) {
-      // A ceiling below ξ1's lease is violated without a single loss.
-      EXPECT_EQ(v->status, verify::VerifyStatus::kViolation) << specs[i].name;
-      ++violations_proved;
-    } else {
-      EXPECT_EQ(v->status, verify::VerifyStatus::kProved) << specs[i].name;
-    }
-  }
-  // The seed mix must exercise both sides of the generator.
-  EXPECT_GE(violations_proved, 1u);
-  EXPECT_LT(violations_proved, specs.size());
-}
-
-TEST(Synthesize, SingleRemoteDeploymentsAreRejected) {
-  // Rule 2's embedding order quantifies over entity pairs, so an N == 1
-  // "deployment" has no PTE property to state — the generator refuses
-  // rather than emitting a vacuous model the fuzzer would waste execs on.
-  sim::Rng rng(31);
-  SynthesizeOptions options;
-  options.n_remotes = 1;
-  EXPECT_THROW((void)synthesize_params(rng, options), std::invalid_argument);
-  try {
-    (void)synthesize_params(rng, options);
-    FAIL() << "expected std::invalid_argument";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("N >= 2"), std::string::npos) << e.what();
-  }
-}
-
-TEST(Synthesize, UnbreakableDrawsNeverCarryADwellCeiling) {
-  // breakable == false must be a hard guarantee, not a probability: the
-  // fuzz smoke lane in CI relies on it to get a finding-free campaign.
-  sim::Rng rng(37);
-  for (int i = 0; i < 50; ++i) {
-    SynthesizeOptions options;
-    options.n_remotes = 2 + rng.uniform_int(2);
-    options.breakable = false;
-    const ScenarioParams p = synthesize_params(rng, options);
-    EXPECT_EQ(p.dwell_bound, 0.0) << p.name;
-    EXPECT_EQ(p.name.find("-broken"), std::string::npos) << p.name;
-  }
-}
-
-TEST(Synthesize, TrafficDrawsReachEveryStochasticAttackerFamily) {
-  // with_traffic draws the attacker from the five stochastic lowerings
-  // (scripted verdict lists and the benign channel are deliberate
-  // non-draws — they carry no randomness worth sweeping).  All five must
-  // actually come up, or a whole lowering silently drops out of the
-  // cross-validation sweeps and the fuzzing grammar's seed distribution.
-  sim::Rng rng(41);
-  std::set<attack::AttackerModel::Kind> seen;
-  for (int i = 0; i < 200 && seen.size() < 5; ++i) {
-    SynthesizeOptions options;
-    options.mode = campaign::RunMode::kBoth;  // kVerify skips traffic
-    options.with_traffic = true;
-    const ScenarioParams p = synthesize_params(rng, options);
-    EXPECT_NE(p.attacker.kind, attack::AttackerModel::Kind::kNone);
-    EXPECT_NE(p.attacker.kind, attack::AttackerModel::Kind::kScripted);
-    EXPECT_FALSE(p.script.empty()) << "traffic draws carry a stimulus script";
-    seen.insert(p.attacker.kind);
-  }
-  EXPECT_EQ(seen.size(), 5u);
 }
 
 }  // namespace

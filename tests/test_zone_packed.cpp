@@ -23,6 +23,7 @@
 
 #include "campaign/scenario.hpp"
 #include "core/config.hpp"
+#include "fuzz/grammar.hpp"
 #include "scenarios/builder.hpp"
 #include "sim/random.hpp"
 #include "verify/checker.hpp"
@@ -213,18 +214,17 @@ TEST(ZoneKernels, Avx2MatchesScalarOnRandomMatrices) {
 // Subsumption store vs. the exact-equality oracle on random timed models
 // ---------------------------------------------------------------------------
 
-/// A randomized small pattern system: synthesized configs (always
-/// Theorem-1-consistent) judged against either their own dwell bound
-/// (expected: proved) or a lowered one (expected: violation).  The
-/// generator itself now lives in the scenario library
-/// (scenarios::synthesize — same draw sequence as the historical local
-/// helper, so the trial mix is unchanged).
+/// A randomized small pattern system: a random Theorem-1-consistent
+/// config (fuzz::random_config) judged against either its own dwell
+/// bound (expected: proved) or, when `breakable`, with probability 1/2 a
+/// ceiling of 30–70 % of ξ1's lease (expected: violation).
 campaign::ScenarioSpec random_model(sim::Rng& rng, bool breakable) {
-  scenarios::SynthesizeOptions options;
-  options.n_remotes = 2;
-  options.breakable = breakable;
-  options.mode = campaign::RunMode::kVerify;
-  return scenarios::synthesize(rng, options);
+  scenarios::ScenarioParams params;
+  params.config = fuzz::random_config(rng, 2);
+  params.mode = campaign::RunMode::kVerify;
+  if (breakable && rng.bernoulli(0.5))
+    params.dwell_bound = params.config.entity(1).t_run_max * rng.uniform(0.3, 0.7);
+  return scenarios::build(params);
 }
 
 TEST(SubsumptionStore, NeverLosesAReachableViolation) {

@@ -67,8 +67,8 @@ constexpr const char* kUsage =
     "                      (whole registry when no refs; --budget K --smoke\n"
     "                      --json)\n"
     "  fuzz                coverage-guided scenario-space fuzzing: hunt\n"
-    "                      prover/sampler disagreement over generated and\n"
-    "                      mutated deployments (--max-execs N --batch N\n"
+    "                      prover/sampler disagreement over generated\n"
+    "                      deployments (--max-execs N --batch N\n"
     "                      --seed S --time-budget SECS --corpus-dir DIR\n"
     "                      --artifact-dir DIR --max-remotes N\n"
     "                      --config-pool N --blind --no-minimize --json)\n"
