@@ -1,6 +1,9 @@
 #include "api/cache.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <atomic>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -22,29 +25,45 @@ constexpr std::string_view kResultSchema = "ptecps-cache-result";
 // key asked for it; an entry of any other version reads as a miss.
 constexpr std::int64_t kResultSchemaVersion = 2;
 
+// A store rescans once this object has written max_bytes / kHeadroom
+// since its last scan, which bounds how far other writers can take the
+// directory past the cap unseen; an evicting scan stops that far below
+// the cap, so the next eviction is that many written bytes away.
+constexpr std::uint64_t kHeadroom = 8;
+
 std::optional<std::string> read_file(const fs::path& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return std::nullopt;
-  std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  if (!in.good() && !in.eof()) return std::nullopt;
-  return bytes;
+  try {
+    std::string bytes((std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
+    if (!in.good() && !in.eof()) return std::nullopt;
+    return bytes;
+  } catch (const std::ios_base::failure&) {
+    return std::nullopt;  // e.g. a directory where the entry belongs
+  }
 }
 
 /// Atomic publish: readers see the old entry or the new one, never a
-/// torn write.  Returns false on any I/O failure (the cache is advisory;
-/// a failed store is just a future miss).
+/// torn write.  Each publish writes its own temp file, so two writers of
+/// one key (threads or processes) never write into the same inode.
+/// Returns false on any I/O failure, leaving no temp file behind (the
+/// cache is advisory; a failed store is just a future miss).
 bool write_file_atomic(const fs::path& path, const void* data, std::size_t size) {
-  const fs::path tmp = path.string() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return false;
+  static std::atomic<std::uint64_t> publishes{0};
+  const fs::path tmp = util::cat(path.string(), ".tmp.", ::getpid(), ".",
+                                 publishes.fetch_add(1, std::memory_order_relaxed));
+  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+  if (out) {
     out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
-    if (!out.good()) return false;
+    out.close();
   }
   std::error_code ec;
-  fs::rename(tmp, path, ec);
-  if (ec) fs::remove(tmp, ec);
-  return !ec;
+  if (out) {
+    fs::rename(tmp, path, ec);
+    if (!ec) return true;
+  }
+  fs::remove(tmp, ec);
+  return false;
 }
 
 void touch(const fs::path& path) {
@@ -61,6 +80,7 @@ util::Json CacheStats::to_json() const {
   out.set("checkpoints", checkpoints);
   out.set("bytes", bytes);
   out.set("max_bytes", max_bytes);
+  out.set("scans", scans);
   return out;
 }
 
@@ -143,8 +163,7 @@ void ResultCache::store_result(const std::string& key, const std::string& scenar
   wrapper.set("scenario", scenario);
   wrapper.set("result", result_json);
   const std::string text = wrapper.dump(2);
-  write_file_atomic(result_path(key), text.data(), text.size());
-  gc();
+  if (write_file_atomic(result_path(key), text.data(), text.size())) account(text.size());
 }
 
 std::optional<verify::Checkpoint> ResultCache::load_checkpoint(const std::string& key) const {
@@ -163,14 +182,27 @@ std::optional<verify::Checkpoint> ResultCache::load_checkpoint(const std::string
 
 void ResultCache::store_checkpoint(const std::string& key, const verify::Checkpoint& ck) const {
   const std::vector<std::uint8_t> bytes = ck.serialize();
-  write_file_atomic(checkpoint_path(key), bytes.data(), bytes.size());
-  gc();
+  if (write_file_atomic(checkpoint_path(key), bytes.data(), bytes.size()))
+    account(bytes.size());
+}
+
+void ResultCache::account(std::uint64_t bytes) const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  bytes_ += bytes;
+  written_since_scan_ += bytes;
+  if (scans_ == 0 || bytes_ > options_.max_bytes ||
+      written_since_scan_ >= options_.max_bytes / kHeadroom)
+    gc_locked();
 }
 
 CacheStats ResultCache::stats() const {
   CacheStats s;
   s.dir = options_.dir;
   s.max_bytes = options_.max_bytes;
+  {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    s.scans = scans_;
+  }
   std::error_code ec;
   for (const char* sub : {"results", "checkpoints"}) {
     for (const auto& entry : fs::directory_iterator(fs::path(options_.dir) / sub, ec)) {
@@ -195,6 +227,11 @@ std::size_t ResultCache::clear() const {
 }
 
 std::size_t ResultCache::gc() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return gc_locked();
+}
+
+std::size_t ResultCache::gc_locked() const {
   struct Entry {
     fs::path path;
     std::uint64_t size = 0;
@@ -209,22 +246,29 @@ std::size_t ResultCache::gc() const {
       Entry e;
       e.path = it.path();
       e.size = it.file_size(ec);
+      if (ec) continue;  // evicted by another writer mid-scan
       e.mtime = it.last_write_time(ec);
+      if (ec) continue;
       total += e.size;
       entries.push_back(std::move(e));
     }
   }
+  ++scans_;
+  written_since_scan_ = 0;
+  bytes_ = total;
   if (total <= options_.max_bytes) return 0;
+  const std::uint64_t low_water = options_.max_bytes - options_.max_bytes / kHeadroom;
   std::sort(entries.begin(), entries.end(),
             [](const Entry& a, const Entry& b) { return a.mtime < b.mtime; });
   std::size_t evicted = 0;
   for (const Entry& e : entries) {
-    if (total <= options_.max_bytes) break;
+    if (total <= low_water) break;
     if (fs::remove(e.path, ec)) {
       total -= e.size;
       ++evicted;
     }
   }
+  bytes_ = total;
   return evicted;
 }
 

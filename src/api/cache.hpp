@@ -19,12 +19,25 @@
 //
 // The cache is advisory, never authoritative: every load re-validates
 // (schema wrapper, engine tag, checkpoint magic/version) and any
-// mismatch or I/O failure degrades to a miss / cold run.  Eviction is
-// size-capped LRU on file mtimes (loads touch), enforced at store time
-// and on demand via gc().
+// mismatch or I/O failure degrades to a miss / cold run.  Every publish
+// writes its own temp file (pid + counter) and renames it into place,
+// so concurrent writers of one key never share an inode and a reader
+// sees a whole entry or none.
+//
+// Eviction is size-capped LRU on file mtimes (loads touch), and gc() is
+// its only routine.  A store costs O(1): it adds its bytes to a running
+// total (one per ResultCache, shared by every thread under a mutex) and
+// scans the directory only on this object's first store, when the total
+// crosses max_bytes, or once this object has written max_bytes/8 since
+// its last scan.  A scan resets the total to what is on disk and, when
+// the store is over the cap, evicts down to 7/8 of it, so a full store
+// pays one scan per max_bytes/8 written.  Other processes' writes reach
+// the total only at a scan: a shared directory holds at most the cap
+// plus what other writers stored since this object's last scan.
 #pragma once
 
 #include <cstdint>
+#include <mutex>
 #include <optional>
 #include <string>
 
@@ -40,6 +53,8 @@ struct CacheStats {
   std::size_t checkpoints = 0;
   std::uint64_t bytes = 0;
   std::uint64_t max_bytes = 0;
+  /// Directory scans (gc() runs) this ResultCache object has made.
+  std::uint64_t scans = 0;
   std::string dir;
 
   util::Json to_json() const;
@@ -71,7 +86,8 @@ class ResultCache {
   /// The stored JobResult JSON, or nullopt on miss / wrapper mismatch /
   /// unreadable file.  A hit touches the entry's mtime (LRU recency).
   std::optional<util::Json> load_result(const std::string& key) const;
-  /// Store (atomically: tmp + rename) and enforce the size cap.
+  /// Store (atomically: unique tmp + rename) and add the entry to the
+  /// running total; scans via gc() only when a scan rule above fires.
   void store_result(const std::string& key, const std::string& scenario,
                     const util::Json& result_json) const;
 
@@ -83,8 +99,9 @@ class ResultCache {
   CacheStats stats() const;
   /// Remove every entry; returns how many files were deleted.
   std::size_t clear() const;
-  /// Evict least-recently-used entries until the cap holds; returns how
-  /// many files were evicted.
+  /// Scan the store and reset the running total to its bytes; when they
+  /// exceed the cap, evict least-recently-used entries down to 7/8 of it.
+  /// Returns how many files were evicted.
   std::size_t gc() const;
 
   const std::string& dir() const { return options_.dir; }
@@ -92,8 +109,21 @@ class ResultCache {
  private:
   std::string result_path(const std::string& key) const;
   std::string checkpoint_path(const std::string& key) const;
+  /// Add a published entry's bytes to the running total; runs the scan
+  /// when one of the rules above fires.
+  void account(std::uint64_t bytes) const;
+  /// gc() with mutex_ already held.
+  std::size_t gc_locked() const;
 
   Options options_;
+  /// Guards the running total.  Stores are const (callers share the
+  /// cache as `const ResultCache*`), so the accounting is mutable.
+  mutable std::mutex mutex_;
+  /// Bytes on disk at the last scan plus every byte this object has
+  /// published since (an overwrite counts in full).
+  mutable std::uint64_t bytes_ = 0;
+  mutable std::uint64_t written_since_scan_ = 0;
+  mutable std::uint64_t scans_ = 0;
 };
 
 }  // namespace ptecps::api

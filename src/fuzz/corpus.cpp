@@ -18,7 +18,6 @@ CorpusEntry* Corpus::add(CorpusEntry entry) {
     ++dedup_rejects_;
     return nullptr;
   }
-  if (entry.projection.empty()) entry.projection = prover_projection(entry.doc.params);
   if (entry.bucket.empty()) entry.bucket = structure_bucket(entry.doc.params);
   entries_.push_back(std::move(entry));
   return &entries_.back();

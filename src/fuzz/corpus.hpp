@@ -15,14 +15,12 @@
 
 #include <cstddef>
 #include <deque>
-#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
 
 #include "fuzz/grammar.hpp"
 #include "scenarios/serialize.hpp"
-#include "verify/checker.hpp"
 
 namespace ptecps::fuzz {
 
@@ -30,16 +28,8 @@ struct CorpusEntry {
   scenarios::ScenarioDocument doc;
   /// Canonical content identity (scenarios::params_digest of doc.params).
   std::string digest;
-  /// Prover-relevant projection digest (grammar.hpp) — the guided
-  /// scheduler's novelty key.
-  std::string projection;
   /// Structural flip-region bucket (grammar.hpp).
   std::string bucket;
-  /// Discrete-state fingerprints this entry's execution visited (empty
-  /// until it has run, e.g. right after a directory load).
-  verify::StateSketch sketch;
-  /// Prover verdict of the entry's execution, when one ran.
-  std::optional<verify::VerifyStatus> status;
 };
 
 class Corpus {

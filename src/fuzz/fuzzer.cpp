@@ -251,10 +251,7 @@ struct Campaign {
       if (!opt.guided || novel > 0 || new_signature) {
         CorpusEntry entry;
         entry.doc = doc;
-        entry.projection = projection;
         entry.bucket = bucket;
-        entry.sketch = sketch;
-        entry.status = row.status;
         corpus.add(std::move(entry));
       }
     }

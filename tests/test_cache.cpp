@@ -3,7 +3,8 @@
 // bit-for-bit, expectations are re-derived per job, an entry does not
 // depend on which entry point stored it, out-of-budget frontiers
 // warm-resume, and the store degrades (never errors) on corruption and
-// stays under its size cap.
+// stays under its size cap while scanning its directory only when the
+// running byte total calls for it.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -138,6 +139,18 @@ TEST(ResultCache, EvictionKeepsTheStoreUnderItsCap) {
   EXPECT_LE(cache.stats().bytes, options.max_bytes);
 }
 
+TEST(ResultCache, FailedPublishLeavesNoTempFile) {
+  ResultCache::Options options;
+  options.dir = fresh_dir("failed-publish");
+  const ResultCache cache(options);
+  // A directory where the entry belongs makes the rename fail.
+  fs::create_directories(fs::path(options.dir) / "results" / "k.json" / "blocker");
+  cache.store_result("k", "s", util::Json::object());
+  EXPECT_FALSE(cache.load_result("k").has_value());
+  for (const auto& entry : fs::directory_iterator(fs::path(options.dir) / "results"))
+    EXPECT_EQ(entry.path().filename(), "k.json") << "left behind: " << entry.path();
+}
+
 TEST(ServiceCache, SecondRunHitsWithIdenticalVerdict) {
   const std::string dir = fresh_dir("hit");
   const std::string name = violating_scenario();
@@ -270,6 +283,120 @@ TEST(ServiceCache, EntryIsTheSameWhicheverEntryPointStoredIt) {
     ASSERT_EQ(hit.cache.hits, 1u);
     EXPECT_EQ(without(hit.to_json(), per_call).dump(2),
               without(Service().run(job).to_json(), per_call).dump(2));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// The running byte total: a store scans the directory only on the cache's
+// first store, when the total crosses the cap, or once the cache has
+// written a cap/8 since its last scan.
+// ---------------------------------------------------------------------------
+
+std::string key_of(int i) { return util::cat("key-", i); }
+
+/// The key is only the file's name, so every entry of this payload has
+/// one size.
+util::Json padded_payload() {
+  util::Json payload = util::Json::object();
+  payload.set("verdict", "proved");
+  payload.set("pad", std::string(1000, 'x'));
+  return payload;
+}
+
+std::uint64_t entry_bytes(const ResultCache& cache, const std::string& key) {
+  return fs::file_size(fs::path(cache.dir()) / "results" / (key + ".json"));
+}
+
+TEST(ResultCacheAccounting, StoresBelowTheCapCostOneScan) {
+  ResultCache::Options options;
+  options.dir = fresh_dir("one-scan");
+  const ResultCache cache(options);
+  for (int i = 0; i < 200; ++i) cache.store_result(key_of(i), "s", padded_payload());
+  const CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.results, 200u);
+  EXPECT_EQ(stats.scans, 1u);
+}
+
+TEST(ResultCacheAccounting, AnEvictingStoreLeavesSevenEighthsOfTheCap) {
+  ResultCache::Options options;
+  options.dir = fresh_dir("low-water");
+  options.max_bytes = 32 << 10;
+  const ResultCache cache(options);
+  std::size_t results = 0;
+  std::size_t evicting_stores = 0;
+  for (int i = 0; i < 200; ++i) {
+    cache.store_result(key_of(i), "s", padded_payload());
+    const CacheStats stats = cache.stats();
+    EXPECT_LE(stats.bytes, options.max_bytes) << "store " << i;
+    if (stats.results < results + 1) {
+      ++evicting_stores;
+      EXPECT_LE(stats.bytes, options.max_bytes / 8 * 7) << "store " << i;
+    }
+    results = stats.results;
+  }
+  EXPECT_GT(evicting_stores, 0u);
+}
+
+TEST(ResultCacheAccounting, AFullCacheScansOncePerEighthOfTheCapWritten) {
+  ResultCache::Options options;
+  options.dir = fresh_dir("full");
+  options.max_bytes = 64 << 10;
+  const ResultCache cache(options);
+  cache.store_result(key_of(0), "s", padded_payload());
+  const std::uint64_t entry = entry_bytes(cache, key_of(0));
+  const std::uint64_t stores_per_scan = (options.max_bytes / 8 + entry - 1) / entry;
+  ASSERT_GT(stores_per_scan, 4u);
+  // Write twice the cap, so every later store lands in a full cache.
+  int next = 1;
+  while (static_cast<std::uint64_t>(next) * entry < 2 * options.max_bytes)
+    cache.store_result(key_of(next++), "s", padded_payload());
+
+  const std::uint64_t scans_before = cache.stats().scans;
+  constexpr int kStores = 400;
+  for (int i = 0; i < kStores; ++i) cache.store_result(key_of(next++), "s", padded_payload());
+  const CacheStats stats = cache.stats();
+  EXPECT_NEAR(static_cast<double>(stats.scans - scans_before),
+              static_cast<double>(kStores / stores_per_scan), 1.0);
+  EXPECT_LE(stats.bytes, options.max_bytes);
+}
+
+TEST(ResultCacheAccounting, TwoCachesOnOneDirectoryEachEnforceTheCapOverTheOthersBytes) {
+  // Two objects stand in for two processes: each sees the other's
+  // bytes only when it scans.
+  constexpr std::uint64_t kCap = 64 << 10;
+  for (const bool first_fills : {true, false}) {
+    SCOPED_TRACE(util::cat("first_fills=", first_fills));
+    ResultCache::Options options;
+    options.dir = fresh_dir(util::cat("two-objects-", first_fills));
+    options.max_bytes = kCap;
+    const ResultCache first(options);
+    const ResultCache second(options);
+    const ResultCache& filler = first_fills ? first : second;
+    const ResultCache& enforcer = first_fills ? second : first;
+
+    int next = 0;
+    enforcer.store_result(key_of(next++), "s", padded_payload());  // its first scan
+    ASSERT_EQ(enforcer.stats().scans, 1u);
+    const std::uint64_t entry = entry_bytes(enforcer, key_of(0));
+    const std::uint64_t stores_per_scan = (kCap / 8 + entry - 1) / entry;
+
+    // The other writer brings the store to just under the cap.
+    while (filler.stats().bytes + 2 * entry <= kCap)
+      filler.store_result(key_of(next++), "s", padded_payload());
+
+    // The enforcer's total holds only its own bytes, so it overfills the
+    // store until it has written a cap/8 since its last scan...
+    for (std::uint64_t i = 1; i < stores_per_scan; ++i) {
+      enforcer.store_result(key_of(next++), "s", padded_payload());
+      EXPECT_EQ(enforcer.stats().scans, 1u);
+    }
+    ASSERT_GT(enforcer.stats().bytes, kCap);
+
+    // ...and the store that completes that cap/8 rescans and evicts.
+    enforcer.store_result(key_of(next++), "s", padded_payload());
+    const CacheStats stats = enforcer.stats();
+    EXPECT_EQ(stats.scans, 2u);
+    EXPECT_LE(stats.bytes, kCap / 8 * 7);
   }
 }
 

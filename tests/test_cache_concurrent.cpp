@@ -82,6 +82,39 @@ TEST(CacheConcurrent, SimultaneousSameKeyStoresLeaveOneValidEntry) {
   EXPECT_EQ(cache.stats().results, 1u);
 }
 
+TEST(CacheConcurrent, SameKeyStoresNeverExposeATornEntry) {
+  // Writers of one key alternate a short and a long entry while a reader
+  // loads it.  The key is present throughout, so every load must hit: a
+  // miss means a reader saw an entry another writer was still writing.
+  const ResultCache cache({fresh_dir("torn")});
+  const std::string key = cache.result_key(params_of("laser-tracheotomy"), true);
+  const auto payload = [](int round) {
+    util::Json j = result_payload(round);
+    j.set("pad", std::string(round % 2 == 0 ? 2 << 10 : 9 << 10, 'x'));
+    return j;
+  };
+  cache.store_result(key, "stress", payload(0));
+
+  std::atomic<bool> done{false};
+  std::atomic<int> loads{0}, misses{0};
+  std::thread reader([&] {
+    while (!done.load()) {
+      if (!cache.load_result(key).has_value()) ++misses;
+      ++loads;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < 4; ++t)
+    writers.emplace_back([&] {
+      for (int round = 0; round < 400; ++round) cache.store_result(key, "stress", payload(round));
+    });
+  for (std::thread& w : writers) w.join();
+  done.store(true);
+  reader.join();
+  EXPECT_GT(loads.load(), 0);
+  EXPECT_EQ(misses.load(), 0) << "of " << loads.load() << " loads";
+}
+
 TEST(CacheConcurrent, ManyThreadsOneServiceSharedCache) {
   // The daemon's exact shape: one Service, one cache dir, a pool of
   // threads running the same jobs.  Every result must agree and the
