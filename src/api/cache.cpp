@@ -10,9 +10,9 @@
 #include <vector>
 
 #include "scenarios/canonical.hpp"
-#include "util/binio.hpp"
 #include "util/digest.hpp"
 #include "util/text.hpp"
+#include "verify/checker.hpp"
 
 namespace ptecps::api {
 
@@ -48,13 +48,13 @@ std::optional<std::string> read_file(const fs::path& path) {
 /// one key (threads or processes) never write into the same inode.
 /// Returns false on any I/O failure, leaving no temp file behind (the
 /// cache is advisory; a failed store is just a future miss).
-bool write_file_atomic(const fs::path& path, const void* data, std::size_t size) {
+bool write_file_atomic(const fs::path& path, const std::string& bytes) {
   static std::atomic<std::uint64_t> publishes{0};
   const fs::path tmp = util::cat(path.string(), ".tmp.", ::getpid(), ".",
                                  publishes.fetch_add(1, std::memory_order_relaxed));
   std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
   if (out) {
-    out.write(static_cast<const char*>(data), static_cast<std::streamsize>(size));
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
     out.close();
   }
   std::error_code ec;
@@ -77,7 +77,6 @@ util::Json CacheStats::to_json() const {
   util::Json out = util::Json::object();
   out.set("dir", dir);
   out.set("results", results);
-  out.set("checkpoints", checkpoints);
   out.set("bytes", bytes);
   out.set("max_bytes", max_bytes);
   out.set("scans", scans);
@@ -85,7 +84,7 @@ util::Json CacheStats::to_json() const {
 }
 
 ResultCache::ResultCache(Options options) : options_(std::move(options)) {
-  for (const char* sub : {"", "results", "checkpoints"}) {
+  for (const char* sub : {"", "results"}) {
     const fs::path dir = fs::path(options_.dir) / sub;
     std::error_code ec;
     fs::create_directories(dir, ec);
@@ -99,10 +98,6 @@ std::string ResultCache::result_path(const std::string& key) const {
   return (fs::path(options_.dir) / "results" / (key + ".json")).string();
 }
 
-std::string ResultCache::checkpoint_path(const std::string& key) const {
-  return (fs::path(options_.dir) / "checkpoints" / (key + ".ckpt")).string();
-}
-
 std::string ResultCache::result_key(const scenarios::ScenarioParams& params,
                                     bool cross_validate) const {
   // Thread counts are masked: results are bit-identical at every count.
@@ -113,21 +108,6 @@ std::string ResultCache::result_key(const scenarios::ScenarioParams& params,
   h.update("\n");
   h.update(verify::kEngineTag);
   h.update(cross_validate ? "\nxval=1" : "\nxval=0");
-  const auto sum = h.finish();
-  return util::Sha256::to_hex(sum.data(), sum.size());
-}
-
-std::string ResultCache::checkpoint_key(const scenarios::ScenarioParams& params) const {
-  // The state budget is masked too: any out-of-budget frontier resumes
-  // any strictly larger budget (Checkpoint::can_resume re-checks).
-  scenarios::ScenarioParams masked = params;
-  masked.verify.threads = 0;
-  masked.verify.max_states = 0;
-  util::Sha256 h;
-  h.update(scenarios::canonical_text(masked));
-  h.update("\n");
-  h.update(verify::kEngineTag);
-  h.update("\nckpt");
   const auto sum = h.finish();
   return util::Sha256::to_hex(sum.data(), sum.size());
 }
@@ -163,27 +143,7 @@ void ResultCache::store_result(const std::string& key, const std::string& scenar
   wrapper.set("scenario", scenario);
   wrapper.set("result", result_json);
   const std::string text = wrapper.dump(2);
-  if (write_file_atomic(result_path(key), text.data(), text.size())) account(text.size());
-}
-
-std::optional<verify::Checkpoint> ResultCache::load_checkpoint(const std::string& key) const {
-  const fs::path path = checkpoint_path(key);
-  const std::optional<std::string> bytes = read_file(path);
-  if (!bytes.has_value()) return std::nullopt;
-  try {
-    verify::Checkpoint ck = verify::Checkpoint::deserialize(
-        reinterpret_cast<const std::uint8_t*>(bytes->data()), bytes->size());
-    touch(path);
-    return ck;
-  } catch (const util::BinError&) {
-    return std::nullopt;  // stale format / foreign byte order: run cold
-  }
-}
-
-void ResultCache::store_checkpoint(const std::string& key, const verify::Checkpoint& ck) const {
-  const std::vector<std::uint8_t> bytes = ck.serialize();
-  if (write_file_atomic(checkpoint_path(key), bytes.data(), bytes.size()))
-    account(bytes.size());
+  if (write_file_atomic(result_path(key), text)) account(text.size());
 }
 
 void ResultCache::account(std::uint64_t bytes) const {
@@ -204,12 +164,10 @@ CacheStats ResultCache::stats() const {
     s.scans = scans_;
   }
   std::error_code ec;
-  for (const char* sub : {"results", "checkpoints"}) {
-    for (const auto& entry : fs::directory_iterator(fs::path(options_.dir) / sub, ec)) {
-      if (!entry.is_regular_file(ec)) continue;
-      (sub[0] == 'r' ? s.results : s.checkpoints) += 1;
-      s.bytes += entry.file_size(ec);
-    }
+  for (const auto& entry : fs::directory_iterator(fs::path(options_.dir) / "results", ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    ++s.results;
+    s.bytes += entry.file_size(ec);
   }
   return s;
 }
@@ -217,11 +175,9 @@ CacheStats ResultCache::stats() const {
 std::size_t ResultCache::clear() const {
   std::size_t removed = 0;
   std::error_code ec;
-  for (const char* sub : {"results", "checkpoints"}) {
-    for (const auto& entry : fs::directory_iterator(fs::path(options_.dir) / sub, ec)) {
-      if (!entry.is_regular_file(ec)) continue;
-      if (fs::remove(entry.path(), ec)) ++removed;
-    }
+  for (const auto& entry : fs::directory_iterator(fs::path(options_.dir) / "results", ec)) {
+    if (!entry.is_regular_file(ec)) continue;
+    if (fs::remove(entry.path(), ec)) ++removed;
   }
   return removed;
 }
@@ -240,18 +196,16 @@ std::size_t ResultCache::gc_locked() const {
   std::vector<Entry> entries;
   std::uint64_t total = 0;
   std::error_code ec;
-  for (const char* sub : {"results", "checkpoints"}) {
-    for (const auto& it : fs::directory_iterator(fs::path(options_.dir) / sub, ec)) {
-      if (!it.is_regular_file(ec)) continue;
-      Entry e;
-      e.path = it.path();
-      e.size = it.file_size(ec);
-      if (ec) continue;  // evicted by another writer mid-scan
-      e.mtime = it.last_write_time(ec);
-      if (ec) continue;
-      total += e.size;
-      entries.push_back(std::move(e));
-    }
+  for (const auto& it : fs::directory_iterator(fs::path(options_.dir) / "results", ec)) {
+    if (!it.is_regular_file(ec)) continue;
+    Entry e;
+    e.path = it.path();
+    e.size = it.file_size(ec);
+    if (ec) continue;  // evicted by another writer mid-scan
+    e.mtime = it.last_write_time(ec);
+    if (ec) continue;
+    total += e.size;
+    entries.push_back(std::move(e));
   }
   ++scans_;
   written_since_scan_ = 0;

@@ -1,4 +1,4 @@
-// Content-addressed result cache with warm-resume checkpoint storage.
+// Content-addressed result cache: final JobResults, nothing else.
 //
 // A cache entry answers "this exact deployment, under these exact
 // budgets, on this exact engine" — the key is a SHA-256 over the
@@ -9,20 +9,16 @@
 // masked out of the key: the engine's results are bit-identical at
 // every thread count, so a laptop and a 64-core CI box share entries.
 //
-// Two stores side by side under one root:
-//   results/<key>.json      wrapped api::JobResult JSON (final verdicts)
-//   checkpoints/<key>.ckpt  verify::Checkpoint flat binary, keyed with
-//                           the state budget ALSO masked — a run with a
-//                           larger budget finds the out-of-budget
-//                           frontier any smaller run left behind and
-//                           resumes instead of re-exploring.
+// One store under the root: results/<key>.json holds a wrapped
+// api::JobResult JSON.  An out-of-budget verdict is stored like any
+// other (it is deterministic), and a larger budget is a different key,
+// so it runs cold.
 //
 // The cache is advisory, never authoritative: every load re-validates
-// (schema wrapper, engine tag, checkpoint magic/version) and any
-// mismatch or I/O failure degrades to a miss / cold run.  Every publish
-// writes its own temp file (pid + counter) and renames it into place,
-// so concurrent writers of one key never share an inode and a reader
-// sees a whole entry or none.
+// (schema wrapper, engine tag) and any mismatch or I/O failure degrades
+// to a miss.  Every publish writes its own temp file (pid + counter) and
+// renames it into place, so concurrent writers of one key never share an
+// inode and a reader sees a whole entry or none.
 //
 // Eviction is size-capped LRU on file mtimes (loads touch), and gc() is
 // its only routine.  A store costs O(1): it adds its bytes to a running
@@ -43,14 +39,12 @@
 
 #include "scenarios/builder.hpp"
 #include "util/json.hpp"
-#include "verify/checkpoint.hpp"
 
 namespace ptecps::api {
 
 /// What stats() reports (and `pte cache stats` prints).
 struct CacheStats {
   std::size_t results = 0;
-  std::size_t checkpoints = 0;
   std::uint64_t bytes = 0;
   std::uint64_t max_bytes = 0;
   /// Directory scans (gc() runs) this ResultCache object has made.
@@ -62,7 +56,7 @@ struct CacheStats {
 
 class ResultCache {
  public:
-  /// Default size cap (results + checkpoints together).
+  /// Default size cap.
   static constexpr std::uint64_t kDefaultMaxBytes = 256ull << 20;
 
   struct Options {
@@ -70,7 +64,7 @@ class ResultCache {
     std::uint64_t max_bytes = kDefaultMaxBytes;
   };
 
-  /// Creates `dir` (and the two stores under it) when missing; throws
+  /// Creates `dir` (and the results store under it) when missing; throws
   /// std::runtime_error naming the offending path when the location is
   /// unusable (exists as a file, permission denied, ...).
   explicit ResultCache(Options options);
@@ -78,10 +72,6 @@ class ResultCache {
   /// Key for a finished JobResult: canonical scenario params (thread
   /// counts masked) + engine tag + the cross-validation flag.
   std::string result_key(const scenarios::ScenarioParams& params, bool cross_validate) const;
-  /// Key for a warm-resume checkpoint: as result_key but with the state
-  /// budget masked too (any smaller-budget frontier dominates), and no
-  /// cross-validation dimension (checkpoints are prover-only).
-  std::string checkpoint_key(const scenarios::ScenarioParams& params) const;
 
   /// The stored JobResult JSON, or nullopt on miss / wrapper mismatch /
   /// unreadable file.  A hit touches the entry's mtime (LRU recency).
@@ -91,10 +81,11 @@ class ResultCache {
   void store_result(const std::string& key, const std::string& scenario,
                     const util::Json& result_json) const;
 
-  /// nullopt on miss or any deserialization failure (stale format,
-  /// foreign byte order, truncation) — the caller runs cold.
-  std::optional<verify::Checkpoint> load_checkpoint(const std::string& key) const;
-  void store_checkpoint(const std::string& key, const verify::Checkpoint& ck) const;
+  /// No-ops kept only for perfbench's trace_job (perfbench/harness.cpp),
+  /// which replays the served path's calls and still names a checkpoint
+  /// lookup; the served path makes none.  Nothing else may call them.
+  std::string checkpoint_key(const scenarios::ScenarioParams&) const { return {}; }
+  void load_checkpoint(const std::string&) const {}
 
   CacheStats stats() const;
   /// Remove every entry; returns how many files were deleted.
@@ -108,7 +99,6 @@ class ResultCache {
 
  private:
   std::string result_path(const std::string& key) const;
-  std::string checkpoint_path(const std::string& key) const;
   /// Add a published entry's bytes to the running total; runs the scan
   /// when one of the rules above fires.
   void account(std::uint64_t bytes) const;

@@ -122,14 +122,6 @@ struct Search {
   }
 };
 
-Json cache_to_json(const CacheCounters& c) {
-  Json out = Json::object();
-  out.set("hits", c.hits);
-  out.set("misses", c.misses);
-  out.set("resumes", c.resumes);
-  return out;
-}
-
 }  // namespace
 
 Json FrontierReport::to_json() const {
@@ -163,7 +155,7 @@ Json FrontierReport::to_json() const {
     list.push_back(std::move(one));
   }
   out.set("results", std::move(list));
-  if (cache.enabled) out.set("cache", cache_to_json(cache));
+  if (cache.enabled) out.set("cache", cache.to_json());
   if (deduped > 0) out.set("deduped", deduped);
   Json errs = Json::array();
   for (const std::string& e : errors) errs.push_back(e);
@@ -245,7 +237,6 @@ FrontierReport compute_frontier(const Service& service, const std::vector<Job>& 
     const MatrixResult round = service.run_matrix(probes);
     report.cache.hits += round.cache.hits;
     report.cache.misses += round.cache.misses;
-    report.cache.resumes += round.cache.resumes;
     report.deduped += round.deduped;
     if (round.rows.size() != active.size()) {
       // The campaign itself failed (resolution already pre-flighted, so

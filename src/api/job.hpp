@@ -77,9 +77,10 @@ struct Job {
 struct CacheCounters {
   std::size_t hits = 0;
   std::size_t misses = 0;
-  /// Verifications that warm-resumed from a stored checkpoint.
-  std::size_t resumes = 0;
   bool enabled = false;
+
+  /// {"hits", "misses"} — the "cache" block of every report that has one.
+  util::Json to_json() const;
 };
 
 struct JobResult {

@@ -96,7 +96,7 @@ struct Batch {
   /// (later jobs are unanswered), or the campaign's throw (every answer
   /// that needed the campaign carries it too).
   std::optional<std::string> error;
-  /// The call's totals: hits, campaign slots as misses, resumes.
+  /// The call's totals: hits, and campaign slots as misses.
   CacheCounters cache;
   std::size_t deduped = 0;
   /// The campaign over the misses; its outcomes are moved into answers.
@@ -165,7 +165,6 @@ Batch run_jobs(const ResultCache* cache, std::span<const Job> jobs) {
   constexpr std::size_t kNoSlot = static_cast<std::size_t>(-1);
   std::vector<std::size_t> slot_of(jobs.size(), kNoSlot);
   std::vector<campaign::ScenarioSpec> specs;
-  std::vector<std::string> checkpoint_keys;  // per slot; empty = no warm resume
   std::map<std::string, std::size_t> slot_by_digest;
   batch.ran.assign(jobs.size(), false);
   for (std::size_t i = 0; i < jobs.size(); ++i) {
@@ -184,27 +183,11 @@ Batch run_jobs(const ResultCache* cache, std::span<const Job> jobs) {
     }
     batch.ran[i] = true;
     specs.push_back(std::move(prep[i].spec));
-    checkpoint_keys.push_back(cache != nullptr &&
-                                      prep[i].params.mode != campaign::RunMode::kMonteCarlo
-                                  ? cache->checkpoint_key(prep[i].params)
-                                  : std::string());
   }
   batch.cache.misses = specs.size();
 
   campaign::CampaignOptions options;
   options.threads = threads;
-  std::vector<verify::Checkpoint> resumes(specs.size());
-  std::vector<verify::Checkpoint> captures(specs.size());
-  options.resume.assign(specs.size(), nullptr);
-  options.capture.assign(specs.size(), nullptr);
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    if (checkpoint_keys[s].empty()) continue;
-    if (std::optional<verify::Checkpoint> ck = cache->load_checkpoint(checkpoint_keys[s])) {
-      resumes[s] = std::move(*ck);
-      options.resume[s] = &resumes[s];
-    }
-    options.capture[s] = &captures[s];
-  }
 
   campaign::CampaignReport& fresh = batch.fresh;
   fresh.threads = threads > 0 ? threads : 1;
@@ -220,13 +203,9 @@ Batch run_jobs(const ResultCache* cache, std::span<const Job> jobs) {
     for (std::size_t i = 0; i < jobs.size(); ++i)
       if (slot_of[i] != kNoSlot) batch.answers[i].errors.push_back(*batch.error);
   } else {
-    // Captured only with a cache (the slot has a checkpoint key).
-    for (std::size_t s = 0; s < specs.size(); ++s)
-      if (!captures[s].empty()) cache->store_checkpoint(checkpoint_keys[s], captures[s]);
-
     // Store only out of a fully clean campaign — run/verify errors are
     // not attributable per scenario with certainty; kOutOfBudget IS
-    // deterministic and cacheable, with its frontier stored above.
+    // deterministic and cacheable.
     // Dedup rows can still carry a distinct result_key (cross_validate
     // is part of the key but not of the campaign digest), so store each
     // key once.
@@ -257,11 +236,6 @@ Batch run_jobs(const ResultCache* cache, std::span<const Job> jobs) {
     answer.cache.enabled = cache != nullptr;
     if (batch.ran[i] && cache != nullptr) answer.cache.misses = 1;
     if (!answer.report.has_value()) continue;  // the campaign threw
-    // Resume accounting is per executed verification, not per row.
-    const auto& verification = answer.report->scenarios[0].verification;
-    if (batch.ran[i] && verification.has_value() && verification->resumed)
-      answer.cache.resumes = 1;
-    batch.cache.resumes += answer.cache.resumes;
     finalize_verdict(answer, prep[i].expected);
   }
   return batch;

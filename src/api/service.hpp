@@ -50,11 +50,10 @@ class Service {
   /// pipeline, timed.  With a cache configured: a stored result for the
   /// job's canonical scenario is returned directly (the expectation and
   /// ok flag re-derived against THIS job, since the asserted expectation
-  /// is not part of the key); on a miss an out-of-budget verification's
-  /// frontier is stored, and a later run with a strictly larger state
-  /// budget warm-resumes it.  Cached and resumed verdicts,
-  /// counterexamples, and state counts are bit-identical to a cold
-  /// run's; JobResult::cache carries the hit/miss/resume accounting.
+  /// is not part of the key); a miss runs cold and stores its result,
+  /// out-of-budget verdicts included.  Cached verdicts, counterexamples,
+  /// and state counts are bit-identical to a cold run's;
+  /// JobResult::cache carries the hit/miss accounting.
   JobResult run(const Job& job) const;
 
   /// Execute several jobs as ONE campaign: every Monte-Carlo run shares

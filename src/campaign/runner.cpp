@@ -142,17 +142,12 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
       vopt.max_input_changes = spec.verify.max_input_changes;
       vopt.max_states = spec.verify.max_states;
       vopt.threads = spec.verify.threads;
-      const verify::Checkpoint* resume =
-          si < options_.resume.size() ? options_.resume[si] : nullptr;
-      verify::Checkpoint* capture =
-          si < options_.capture.size() ? options_.capture[si] : nullptr;
-      const verify::VerifyResult vr = verify::verify_pte(model, vopt, resume, capture);
+      const verify::VerifyResult vr = verify::verify_pte(model, vopt);
       vo.status = vr.status;
       vo.states_explored = vr.states_explored;
       vo.states_stored = vr.states_stored;
       vo.transitions = vr.transitions;
       vo.threads_used = vr.threads_used;
-      vo.resumed = vr.resumed;
       vo.sketch = vr.sketch;
       vo.counterexample = vr.counterexample;
       if (vo.counterexample.has_value() && spec.verify.replay) {
@@ -272,9 +267,6 @@ util::Json CampaignReport::to_json() const {
       // Only when present, so pre-existing cached reports re-render
       // byte-identically.
       if (!v.replay_detail.empty()) vj.set("replay_detail", v.replay_detail);
-      // Only when set, so cold-run reports are byte-stable across the
-      // checkpoint feature (and cached JSON written before it).
-      if (v.resumed) vj.set("resumed", true);
       // Only when the exploration stored anything, so reports (and
       // cached JSON) written before the sketch feature re-render
       // byte-identically.
@@ -323,7 +315,6 @@ VerificationOutcome verification_from_json(const util::Json& j, const std::strin
   v.replay_attempted = r.boolean("replay_attempted", false);
   v.replay_reproduced = r.boolean("replay_reproduced", false);
   v.replay_detail = r.string("replay_detail", "");
-  v.resumed = r.boolean("resumed", false);
   if (const util::Json* sk = r.optional("sketch")) {
     util::JsonReader kr(*sk, util::cat(ctx, ".sketch"));
     v.sketch.distinct = kr.uinteger("distinct", 0);

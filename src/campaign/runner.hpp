@@ -16,7 +16,6 @@
 #include "campaign/scenario.hpp"
 #include "util/json.hpp"
 #include "verify/checker.hpp"
-#include "verify/checkpoint.hpp"
 
 namespace ptecps::campaign {
 
@@ -39,9 +38,6 @@ struct VerificationOutcome {
   /// Human-readable replay outcome (violations the engine DID observe,
   /// unmatched sends) — what "NOT reproduced" actually looked like.
   std::string replay_detail;
-  /// Exploration warm-resumed from a checkpoint (CampaignOptions::resume)
-  /// instead of starting cold; all counts above still equal a cold run's.
-  bool resumed = false;
   /// Discrete-state fingerprint summary of the exploration — the
   /// coverage signal the scenario-space fuzzer feeds on.  Serialized
   /// through the report JSON, so cache hits still carry coverage.
@@ -55,15 +51,6 @@ struct CampaignOptions {
   /// Keep every run's full violation list in the report (the aggregate
   /// counts survive either way).
   bool keep_violations = true;
-  /// Warm-resume checkpoints and capture slots for the verification
-  /// phase, indexed like the specs vector passed to run() (short vectors
-  /// and nullptr entries mean "no resume / no capture for that spec").
-  /// Resume is attempted only when Checkpoint::can_resume holds; any
-  /// mismatch falls back to a cold run.  Capture slots receive the
-  /// exploration state of a kOutOfBudget verification (an empty-state
-  /// header otherwise).  Non-owning; the caller keeps them alive.
-  std::vector<const verify::Checkpoint*> resume;
-  std::vector<verify::Checkpoint*> capture;
 };
 
 /// All runs of one ScenarioSpec, in seed order, plus aggregates.

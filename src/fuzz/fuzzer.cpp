@@ -178,7 +178,6 @@ struct Campaign {
     const api::MatrixResult mr = service.run_matrix(jobs);
     report.stats.cache.hits += mr.cache.hits;
     report.stats.cache.misses += mr.cache.misses;
-    report.stats.cache.resumes += mr.cache.resumes;
     report.stats.cache.enabled = report.stats.cache.enabled || mr.cache.enabled;
     report.stats.matrix_deduped += mr.deduped;
 
@@ -388,13 +387,7 @@ util::Json FuzzStats::to_json() const {
   out.set("violated", violated);
   out.set("out_of_budget", out_of_budget);
   out.set("row_errors", row_errors);
-  if (cache.enabled) {
-    util::Json cj = util::Json::object();
-    cj.set("hits", cache.hits);
-    cj.set("misses", cache.misses);
-    cj.set("resumes", cache.resumes);
-    out.set("cache", std::move(cj));
-  }
+  if (cache.enabled) out.set("cache", cache.to_json());
   if (matrix_deduped > 0) out.set("matrix_deduped", matrix_deduped);
   out.set("wall_s", wall_s);
   out.set("execs_per_s", execs_per_s);

@@ -132,8 +132,7 @@ struct FuzzReport {
 class Fuzzer {
  public:
   /// The service is borrowed (it is const-callable and thread-safe);
-  /// configure its cache_dir to give the campaign warm-resume and
-  /// cross-campaign dedup.
+  /// configure its cache_dir to give the campaign cross-campaign dedup.
   Fuzzer(const api::Service& service, FuzzOptions options);
 
   FuzzReport run();

@@ -1,6 +1,5 @@
 #include "net/channel.hpp"
 
-#include "util/logging.hpp"
 #include "util/require.hpp"
 #include "util/text.hpp"
 
@@ -33,8 +32,6 @@ void Channel::send(Packet packet) {
 
   if (loss_->lose(scheduler_.now(), rng_)) {
     ++stats_.lost;
-    util::log_debug(util::cat("channel ", name_, ": lost seq=", packet.seq, " (",
-                              packet.event_root, ")"));
     return;
   }
 
@@ -54,14 +51,11 @@ void Channel::send(Packet packet) {
     std::optional<Packet> received = Packet::parse(wire_bytes);
     if (!received.has_value()) {
       ++stats_.corrupted;
-      util::log_debug(util::cat("channel ", name_, ": CRC mismatch, packet discarded"));
       return;
     }
     if (config_.acceptance_window > 0.0 &&
         scheduler_.now() - received->send_time > config_.acceptance_window + sim::kTimeEps) {
       ++stats_.rejected_late;
-      util::log_debug(util::cat("channel ", name_, ": late packet rejected seq=",
-                                received->seq));
       return;
     }
     ++stats_.delivered;

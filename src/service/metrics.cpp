@@ -66,7 +66,6 @@ util::Json ServiceMetrics::to_json(std::size_t queue_depth, std::size_t queue_ca
   cache.set("enabled", cache_stats != nullptr);
   cache.set("hits", hits);
   cache.set("misses", misses);
-  cache.set("resumes", cache_resumes_.load(std::memory_order_relaxed));
   cache.set("hit_rate",
             hits + misses > 0
                 ? static_cast<double>(hits) / static_cast<double>(hits + misses)

@@ -45,7 +45,6 @@ class ServiceMetrics {
     if (!result.ok) failed_.fetch_add(1, std::memory_order_relaxed);
     cache_hits_.fetch_add(result.cache.hits, std::memory_order_relaxed);
     cache_misses_.fetch_add(result.cache.misses, std::memory_order_relaxed);
-    cache_resumes_.fetch_add(result.cache.resumes, std::memory_order_relaxed);
     std::lock_guard<std::mutex> lock(latency_mu_);
     if (latencies_.size() < kLatencyWindow) {
       latencies_.push_back(wall_ms);
@@ -84,7 +83,6 @@ class ServiceMetrics {
   std::atomic<std::uint64_t> http_requests_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> cache_misses_{0};
-  std::atomic<std::uint64_t> cache_resumes_{0};
 
   mutable std::mutex latency_mu_;
   std::vector<double> latencies_;

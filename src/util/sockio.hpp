@@ -1,7 +1,6 @@
 // Blocking TCP socket helpers plus the two wire formats the verification
-// service speaks, built in the spirit of binio: every failure surfaces
-// as one catchable SockError instead of an errno check the caller
-// forgets.
+// service speaks: every failure surfaces as one catchable SockError
+// instead of an errno check the caller forgets.
 //
 // Framed protocol ("PTEJ"): a connection opens with the 4-byte magic,
 // then each message in either direction is a little-endian u32 payload

@@ -13,11 +13,9 @@
 #include <thread>
 #include <unordered_map>
 
-#include "util/binio.hpp"
 #include "util/require.hpp"
 #include "util/small_vec.hpp"
 #include "util/text.hpp"
-#include "verify/checkpoint.hpp"
 #include "verify/zone.hpp"
 
 namespace ptecps::verify {
@@ -263,9 +261,6 @@ struct Node {
         parent(parent_),
         prank(prank_),
         ordinal(ordinal_) {}
-
-  /// Checkpoint restore fills the fields afterwards.
-  Node() : z(0) {}
 };
 
 /// Thrown when a violation is reachable; unwinds one node's expansion.
@@ -561,28 +556,26 @@ class Expander {
   void entity_enter_risky(Outcome& o, std::size_t e) {
     const std::size_t n = m_.monitor.n_entities;
     const std::uint32_t bit = 1u << (e - 1);
-    if (opt_.check_embedding) {
-      if (e >= 2) {
-        if (!(o.d.risky & (bit >> 1))) {
-          report(core::PteViolationKind::kOrderEmbedding, e, e - 1,
-                 util::cat("xi", e, " entered risky while xi", e - 1,
-                           " was in safe-locations"),
-                 o.step);
-        }
-        const double required = m_.monitor.t_risky_min[e - 2];
-        check_timing(o, o.step.kind,
-                     Op::constrain(m_.clocks.risky(e - 1), 0, packed_lt(required)),
-                     core::PteViolationKind::kEnterSafeguard, e, e - 1, [&] {
-                       return util::cat("xi", e, " can enter risky less than T^min_risky=",
-                                        util::fmt_compact(required), "s after xi", e - 1);
-                     });
-      }
-      if (e < n && (o.d.risky & (bit << 1))) {
-        report(core::PteViolationKind::kOrderEmbedding, e, e + 1,
-               util::cat("xi", e, " (re)entered risky while xi", e + 1,
-                         " was already risky — embedding order lost"),
+    if (e >= 2) {
+      if (!(o.d.risky & (bit >> 1))) {
+        report(core::PteViolationKind::kOrderEmbedding, e, e - 1,
+               util::cat("xi", e, " entered risky while xi", e - 1,
+                         " was in safe-locations"),
                o.step);
       }
+      const double required = m_.monitor.t_risky_min[e - 2];
+      check_timing(o, o.step.kind,
+                   Op::constrain(m_.clocks.risky(e - 1), 0, packed_lt(required)),
+                   core::PteViolationKind::kEnterSafeguard, e, e - 1, [&] {
+                     return util::cat("xi", e, " can enter risky less than T^min_risky=",
+                                      util::fmt_compact(required), "s after xi", e - 1);
+                   });
+    }
+    if (e < n && (o.d.risky & (bit << 1))) {
+      report(core::PteViolationKind::kOrderEmbedding, e, e + 1,
+             util::cat("xi", e, " (re)entered risky while xi", e + 1,
+                       " was already risky — embedding order lost"),
+             o.step);
     }
     o.d.risky |= bit;
     apply_reset(o, m_.clocks.risky(e));
@@ -591,16 +584,14 @@ class Expander {
   void entity_exit_risky(Outcome& o, std::size_t e) {
     const std::size_t n = m_.monitor.n_entities;
     const std::uint32_t bit = 1u << (e - 1);
-    if (opt_.check_dwell_bound) {
-      const double bound = m_.monitor.dwell_bounds[e - 1];
-      check_timing(o, o.step.kind, Op::constrain(0, m_.clocks.risky(e), packed_lt(-bound)),
-                   core::PteViolationKind::kDwellBound, e, 0, [&] {
-                     return util::cat("xi", e,
-                                      " can dwell in risky-locations beyond the bound ",
-                                      util::fmt_compact(bound), "s");
-                   });
-    }
-    if (opt_.check_embedding && e < n) {
+    const double bound = m_.monitor.dwell_bounds[e - 1];
+    check_timing(o, o.step.kind, Op::constrain(0, m_.clocks.risky(e), packed_lt(-bound)),
+                 core::PteViolationKind::kDwellBound, e, 0, [&] {
+                   return util::cat("xi", e,
+                                    " can dwell in risky-locations beyond the bound ",
+                                    util::fmt_compact(bound), "s");
+                 });
+    if (e < n) {
       if (o.d.risky & (bit << 1)) {
         report(core::PteViolationKind::kOrderEmbedding, e, e + 1,
                util::cat("xi", e, " exited risky while xi", e + 1, " was still risky"),
@@ -811,18 +802,16 @@ class Expander {
 
     // Rule 1: can any risky entity outlast its dwell bound?  (Checked on
     // the delayed zone: also covers "still risky at any horizon".)
-    if (opt_.check_dwell_bound) {
-      for (std::size_t e = 1; e <= m_.monitor.n_entities; ++e) {
-        if (!(base.d.risky & (1u << (e - 1)))) continue;
-        const double bound = m_.monitor.dwell_bounds[e - 1];
-        check_timing(base, Step::Kind::kViolation,
-                     Op::constrain(0, m_.clocks.risky(e), packed_lt(-bound)),
-                     core::PteViolationKind::kDwellBound, e, 0, [&] {
-                       return util::cat("xi", e,
-                                        " can dwell in risky-locations beyond the bound ",
-                                        util::fmt_compact(bound), "s");
-                     });
-      }
+    for (std::size_t e = 1; e <= m_.monitor.n_entities; ++e) {
+      if (!(base.d.risky & (1u << (e - 1)))) continue;
+      const double bound = m_.monitor.dwell_bounds[e - 1];
+      check_timing(base, Step::Kind::kViolation,
+                   Op::constrain(0, m_.clocks.risky(e), packed_lt(-bound)),
+                   core::PteViolationKind::kDwellBound, e, 0, [&] {
+                     return util::cat("xi", e,
+                                      " can dwell in risky-locations beyond the bound ",
+                                      util::fmt_compact(bound), "s");
+                   });
     }
 
     // Timed edges: the earliest statically-enabled dwell fires (insertion
@@ -965,9 +954,8 @@ class Expander {
 
 class Checker {
  public:
-  Checker(const CompiledModel& model, const VerifyOptions& options,
-          const Checkpoint* resume = nullptr, Checkpoint* capture = nullptr)
-      : m_(model), opt_(options), resume_(resume), capture_(capture) {
+  Checker(const CompiledModel& model, const VerifyOptions& options)
+      : m_(model), opt_(options) {
     PTE_REQUIRE(m_.monitor.n_entities <= 32, "verify: more than 32 PTE entities");
     PTE_REQUIRE(m_.clocks.count < 255, "verify: more than 254 clocks");
   }
@@ -1152,267 +1140,8 @@ class Checker {
 
   Counterexample concretize(const RoundViolation& rv);
 
-  // -- checkpoint capture / restore ----------------------------------------
-  // Both run at a round boundary (frontier lists rank-assigned, nothing
-  // mid-expansion), so the serialized state is exactly what a cold run
-  // holds at that boundary.  Nodes are written in one global order with
-  // parents as table indices; nothing thread-count-specific is stored —
-  // restore re-shards every node by its recomputed discrete key, so a
-  // checkpoint taken at 8 threads resumes identically at 1 (and vice
-  // versa).
-
-  static constexpr std::uint64_t kNoNode = ~std::uint64_t{0};
-
-  static void write_zone(util::ByteWriter& w, const Zone& z) {
-    const std::uint64_t c = z.clocks();
-    w.u64(c);
-    if (c == 0) return;  // retired / placeholder matrix
-    w.raw(z.raw(), sizeof(PackedBound) * (c + 1) * (c + 1));
-  }
-
-  Zone read_zone(util::ByteReader& r) const {
-    const std::uint64_t c = r.u64();
-    if (c == 0) return Zone(0);
-    if (c != m_.clocks.count) throw util::BinError("checkpoint: zone dimension mismatch");
-    const std::size_t words = (c + 1) * (c + 1);
-    zone_buf_.resize(words);
-    r.raw(zone_buf_.data(), sizeof(PackedBound) * words);
-    Zone z(c);
-    z.load_raw(zone_buf_.data());
-    return z;
-  }
-
-  static void write_step(util::ByteWriter& w, const Step& s) {
-    w.u8(static_cast<std::uint8_t>(s.kind));
-    w.u8(s.consumed ? 1 : 0);
-    w.u32(s.automaton);
-    w.u32(s.slot);
-    w.u32(s.root);
-    w.u64(s.ops.size());
-    for (const Op& op : s.ops) {
-      w.u8(static_cast<std::uint8_t>(op.kind));
-      w.u8(op.i);
-      w.u8(op.j);
-      w.i64(op.b);
-    }
-    w.u64(s.sends.size());
-    for (const Step::Send& snd : s.sends) {
-      w.u32(snd.slot);
-      w.u32(snd.dst);
-      w.u32(snd.label);
-      w.u8(snd.lost ? 1 : 0);
-    }
-    w.u64(s.trace.size());
-    for (const TraceRec& tr : s.trace) {
-      w.u8(static_cast<std::uint8_t>(tr.kind));
-      w.u32(tr.a);
-      w.u32(tr.b);
-      w.u32(tr.c);
-    }
-  }
-
-  static Step read_step(util::ByteReader& r) {
-    Step s;
-    const std::uint8_t kind = r.u8();
-    if (kind > static_cast<std::uint8_t>(Step::Kind::kViolation))
-      throw util::BinError("checkpoint: invalid step kind");
-    s.kind = static_cast<Step::Kind>(kind);
-    s.consumed = r.u8() != 0;
-    s.automaton = r.u32();
-    s.slot = r.u32();
-    s.root = r.u32();
-    const std::uint64_t n_ops = r.count(11);
-    for (std::uint64_t i = 0; i < n_ops; ++i) {
-      const std::uint8_t ok = r.u8();
-      if (ok > static_cast<std::uint8_t>(Op::Kind::kReset))
-        throw util::BinError("checkpoint: invalid op kind");
-      Op op;
-      op.kind = static_cast<Op::Kind>(ok);
-      op.i = r.u8();
-      op.j = r.u8();
-      op.b = r.i64();
-      s.ops.push_back(op);
-    }
-    const std::uint64_t n_sends = r.count(13);
-    for (std::uint64_t i = 0; i < n_sends; ++i) {
-      Step::Send snd;
-      snd.slot = r.u32();
-      snd.dst = r.u32();
-      snd.label = r.u32();
-      snd.lost = r.u8() != 0;
-      s.sends.push_back(snd);
-    }
-    const std::uint64_t n_trace = r.count(13);
-    for (std::uint64_t i = 0; i < n_trace; ++i) {
-      const std::uint8_t tk = r.u8();
-      if (tk > static_cast<std::uint8_t>(TraceRec::Kind::kSet))
-        throw util::BinError("checkpoint: invalid trace kind");
-      TraceRec tr;
-      tr.kind = static_cast<TraceRec::Kind>(tk);
-      tr.a = r.u32();
-      tr.b = r.u32();
-      tr.c = r.u32();
-      s.trace.push_back(tr);
-    }
-    return s;
-  }
-
-  /// Snapshot the current round boundary into the staging area (published
-  /// by run() only if the final status is kOutOfBudget).
-  void capture_state(std::uint64_t explored, std::vector<Expander>& expanders) {
-    util::ByteWriter w;
-    std::uint64_t count = 0;
-    for (const Shard& s : shards_) count += s.nodes.size();
-    std::unordered_map<const Node*, std::uint64_t> index;
-    index.reserve(count);
-    for (const Shard& s : shards_)
-      for (const Node& n : s.nodes) index.emplace(&n, index.size());
-    w.u64(count);
-    for (const Shard& s : shards_) {
-      for (const Node& n : s.nodes) {
-        w.u64(n.d.loc.size());
-        for (std::uint32_t l : n.d.loc) w.u32(l);
-        w.u64(n.d.offsets.size());
-        for (double o : n.d.offsets) w.f64(o);
-        w.u64(n.d.slots.size());
-        for (std::uint64_t sl : n.d.slots) w.u64(sl);
-        w.u32(n.d.risky);
-        w.u32(n.d.ever_exited);
-        w.u64(n.d.input_val.size());
-        for (std::uint8_t v : n.d.input_val) w.u8(v);
-        w.u32(n.d.losses);
-        w.u32(n.d.injections);
-        w.u32(n.d.input_changes);
-        write_zone(w, n.z);
-        write_step(w, n.step);
-        w.u64(n.parent == nullptr ? kNoNode : index.at(n.parent));
-        w.u64(n.prank);
-        w.u32(n.ordinal);
-        w.u64(n.rank);
-        w.u8(n.stale ? 1 : 0);
-      }
-    }
-    // Antichain store, flattened to (node, widened matrix) pairs.  Chain
-    // membership and sort keys are recomputed on restore; relative order
-    // among equal-signature entries is semantically inert (the store only
-    // asks boolean subset/equality questions of a chain).
-    std::uint64_t entries = 0;
-    for (const Shard& s : shards_)
-      for (const auto& [key, chain] : s.visited) entries += chain.size();
-    w.u64(entries);
-    for (const Shard& s : shards_) {
-      for (const auto& [key, chain] : s.visited) {
-        for (const AEntry& e : chain) {
-          w.u64(index.at(e.node));
-          write_zone(w, e.widened);
-        }
-      }
-    }
-    // Frontier (this boundary's rank-assigned round lists, stale included
-    // — exactly what assign_ranks counted as in-flight).
-    std::uint64_t frontier = 0;
-    for (const Shard& s : shards_) frontier += s.round.size();
-    w.u64(frontier);
-    for (const Shard& s : shards_)
-      for (const Node* n : s.round) w.u64(index.at(n));
-    staged_.state = w.take();
-    staged_.explored = explored;
-    staged_.transitions = base_transitions_;
-    for (const Expander& e : expanders) staged_.transitions += e.transitions();
-  }
-
-  /// Rebuild shards from checkpoint state; returns the frontier size
-  /// (the in-flight count at the captured boundary).  Throws
-  /// util::BinError on any structural inconsistency — the caller resets
-  /// the shards and runs cold.
-  std::size_t restore_state(const Checkpoint& ck) {
-    util::ByteReader r(ck.state.data(), ck.state.size());
-    const std::uint64_t count = r.count();
-    std::vector<Node*> table(count, nullptr);
-    std::vector<std::uint64_t> parents(count, kNoNode);
-    for (std::uint64_t i = 0; i < count; ++i) {
-      Node n;
-      const std::uint64_t n_loc = r.count(4);
-      for (std::uint64_t k = 0; k < n_loc; ++k) n.d.loc.push_back(r.u32());
-      const std::uint64_t n_off = r.count(8);
-      for (std::uint64_t k = 0; k < n_off; ++k) n.d.offsets.push_back(r.f64());
-      const std::uint64_t n_slots = r.count(8);
-      for (std::uint64_t k = 0; k < n_slots; ++k) n.d.slots.push_back(r.u64());
-      n.d.risky = r.u32();
-      n.d.ever_exited = r.u32();
-      const std::uint64_t n_in = r.count(1);
-      for (std::uint64_t k = 0; k < n_in; ++k) n.d.input_val.push_back(r.u8());
-      n.d.losses = r.u32();
-      n.d.injections = r.u32();
-      n.d.input_changes = r.u32();
-      n.z = read_zone(r);
-      n.step = read_step(r);
-      parents[i] = r.u64();
-      if (parents[i] != kNoNode && parents[i] >= count)
-        throw util::BinError("checkpoint: parent index out of range");
-      n.prank = r.u64();
-      n.ordinal = r.u32();
-      n.rank = r.u64();
-      n.stale = r.u8() != 0;
-      // Re-shard by the recomputed discrete key — the same routing the
-      // expanders use, at the *current* shard count.
-      Shard& shard = shards_[n.d.key().h1 % shards_.size()];
-      shard.nodes.push_back(std::move(n));
-      table[i] = &shard.nodes.back();
-    }
-    for (std::uint64_t i = 0; i < count; ++i)
-      if (parents[i] != kNoNode) table[i]->parent = table[parents[i]];
-    const std::uint64_t entries = r.count(16);
-    for (std::uint64_t i = 0; i < entries; ++i) {
-      const std::uint64_t idx = r.u64();
-      if (idx >= count) throw util::BinError("checkpoint: store entry index out of range");
-      Zone widened = read_zone(r);
-      Node* node = table[idx];
-      const DKey key = node->d.key();
-      auto& chain = shards_[key.h1 % shards_.size()].visited[key];
-      if (opt_.subsumption) {
-        if (widened.clocks() == 0)
-          throw util::BinError("checkpoint: store entry lacks its widened matrix");
-        const Zone::SigPair sp = widened.signatures();
-        chain.insert(std::upper_bound(chain.begin(), chain.end(), sp.sig,
-                                      [](std::int64_t s, const AEntry& e) {
-                                        return s < e.sig;
-                                      }),
-                     AEntry{sp.sig, sp.lower, std::move(widened), node});
-      } else {
-        if (node->z.clocks() == 0)
-          throw util::BinError("checkpoint: store entry references a retired zone");
-        const std::int64_t sig = node->z.signature();
-        chain.insert(std::lower_bound(chain.begin(), chain.end(), sig,
-                                      [](const AEntry& e, std::int64_t s) {
-                                        return e.sig < s;
-                                      }),
-                     AEntry{sig, 0, Zone(0), node});
-      }
-    }
-    const std::uint64_t frontier = r.count(8);
-    for (std::uint64_t i = 0; i < frontier; ++i) {
-      const std::uint64_t idx = r.u64();
-      if (idx >= count) throw util::BinError("checkpoint: frontier index out of range");
-      Node* node = table[idx];
-      shards_[node->d.key().h1 % shards_.size()].round.push_back(node);
-    }
-    r.expect_done();
-    for (Shard& s : shards_)
-      std::sort(s.round.begin(), s.round.end(),
-                [](const Node* a, const Node* b) { return a->rank < b->rank; });
-    shards_[0].explored = ck.explored;
-    base_transitions_ = ck.transitions;
-    return frontier;
-  }
-
   const CompiledModel& m_;
   VerifyOptions opt_;
-  const Checkpoint* resume_ = nullptr;
-  Checkpoint* capture_ = nullptr;
-  Checkpoint staged_;                 // round-boundary snapshot awaiting publication
-  std::uint64_t base_transitions_ = 0;  // inherited from a restored checkpoint
-  mutable std::vector<PackedBound> zone_buf_;  // read_zone scratch
   std::vector<Shard> shards_;
   std::vector<Node*> work_;  // expand phase: shared rank-ordered work list
 };
@@ -1434,48 +1163,23 @@ VerifyResult Checker::run() {
   std::optional<RoundViolation> violation;
   std::size_t in_flight = 0;
 
-  // Warm resume: rebuild the store and frontier from a compatible
-  // checkpoint instead of seeding from the initial state.  Any
-  // structural inconsistency in the state bytes falls back to a cold
-  // run — a checkpoint can cost time, never an answer.
-  bool resumed = false;
-  if (resume_ != nullptr && resume_->can_resume(opt_, m_.clocks.count)) {
-    try {
-      in_flight = restore_state(*resume_);
-      resumed = true;
-    } catch (const util::BinError&) {
-      shards_.clear();
-      shards_.resize(threads);
-      base_transitions_ = 0;
-      in_flight = 0;
-    }
+  // Round 0: the initial settle, routed through the same absorb path.
+  try {
+    expanders[0].seed();
+  } catch (FoundViolation& v) {
+    violation = RoundViolation{std::move(v), nullptr, 0};
   }
-  result.resumed = resumed;
-
-  if (!resumed) {
-    // Round 0: the initial settle, routed through the same absorb path.
-    try {
-      expanders[0].seed();
-    } catch (FoundViolation& v) {
-      violation = RoundViolation{std::move(v), nullptr, 0};
-    }
-    if (!violation) {
-      gang.run([&](std::size_t w) { guarded_absorb(w, expanders); });
-      for (Shard& s : shards_)
-        if (s.error) std::rethrow_exception(s.error);
-      in_flight = assign_ranks();
-    }
-  } else {
-    for (const Shard& s : shards_) explored += s.explored;
+  if (!violation) {
+    gang.run([&](std::size_t w) { guarded_absorb(w, expanders); });
+    for (Shard& s : shards_)
+      if (s.error) std::rethrow_exception(s.error);
+    in_flight = assign_ranks();
   }
 
   if (!violation) {
     while (in_flight > 0) {
       if (explored >= opt_.max_states) {
         truncated = true;
-        // A round boundary with work left and no budget: exactly the
-        // state a warm resume re-enters from.
-        if (capture_ != nullptr) capture_state(explored, expanders);
         break;
       }
       // Budget cutoff: only the first `remaining` non-stale nodes (in
@@ -1499,14 +1203,6 @@ VerifyResult Checker::run() {
           truncated = true;
         }
       }
-      // The budget dies mid-round: snapshot the boundary *before* the
-      // expand phase retires any zones.  A cold run with a larger budget
-      // passes through this exact boundary (the cutoff condition only
-      // relaxes as max_states grows), so resuming from here and re-running
-      // the round in full is bit-identical to that cold run.  Published
-      // only if no violation surfaces in the partial round below.
-      if (truncated && capture_ != nullptr) capture_state(explored, expanders);
-
       // Expand phase: work stealing over one shared rank-ordered work
       // list.  Workers claim chunks through an atomic cursor, so a
       // worker whose nodes expand quickly steals the slack of one whose
@@ -1593,31 +1289,7 @@ VerifyResult Checker::run() {
   // fingerprint is added exactly once.
   for (const Shard& s : shards_)
     for (const auto& kv : s.visited) result.sketch.add(kv.first.h1, kv.first.h2);
-  result.transitions = base_transitions_;
   for (const Expander& e : expanders) result.transitions += e.transitions();
-
-  if (capture_ != nullptr) {
-    // Header always describes this run; state bytes only when the
-    // verdict is resumable (kProved / kViolation are final — nothing to
-    // resume, and a violation found in the truncated round invalidates
-    // the staged snapshot).
-    Checkpoint out;
-    out.max_losses = opt_.max_losses;
-    out.max_injections = opt_.max_injections;
-    out.max_input_changes = opt_.max_input_changes;
-    out.max_states = opt_.max_states;
-    out.check_dwell_bound = opt_.check_dwell_bound;
-    out.check_embedding = opt_.check_embedding;
-    out.por = opt_.por;
-    out.subsumption = opt_.subsumption;
-    out.clocks = m_.clocks.count;
-    if (result.status == VerifyStatus::kOutOfBudget && !staged_.state.empty()) {
-      out.explored = staged_.explored;
-      out.transitions = staged_.transitions;
-      out.state = std::move(staged_.state);
-    }
-    *capture_ = std::move(out);
-  }
   return result;
 }
 
@@ -1963,12 +1635,6 @@ Counterexample Counterexample::from_json(const util::Json& j) {
 
 VerifyResult verify_pte(const CompiledModel& model, const VerifyOptions& options) {
   Checker checker(model, options);
-  return checker.run();
-}
-
-VerifyResult verify_pte(const CompiledModel& model, const VerifyOptions& options,
-                        const Checkpoint* resume, Checkpoint* capture) {
-  Checker checker(model, options, resume, capture);
   return checker.run();
 }
 

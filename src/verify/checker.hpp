@@ -34,6 +34,11 @@
 
 namespace ptecps::verify {
 
+/// Engine identity baked into the result cache's keys and entries.  Bump
+/// on any change that can alter the canonical search order, verdicts, or
+/// state counts — stale entries then miss cleanly.
+inline constexpr std::string_view kEngineTag = "zone-engine-v6";
+
 struct VerifyOptions {
   /// Adversary budgets per execution: messages the channel may drop
   /// (loss, corruption, and late rejection all count here), stimuli the
@@ -45,8 +50,6 @@ struct VerifyOptions {
   /// Search budget; exceeding it yields kOutOfBudget, never a silent
   /// partial "proof".
   std::size_t max_states = 1'000'000;
-  bool check_dwell_bound = true;  // Rule 1 / Theorem 1
-  bool check_embedding = true;    // Rule 2 (p1–p3)
   /// Worker threads for the parallel exploration; 0 = hardware
   /// concurrency.  Workers steal frontier chunks from a shared
   /// rank-ordered work list, but every store mutation commits through
@@ -171,10 +174,6 @@ struct VerifyResult {
   /// Worker threads the exploration actually ran with (the resolved
   /// value of VerifyOptions::threads — hardware concurrency when 0).
   std::size_t threads_used = 0;
-  /// Exploration re-entered from a warm checkpoint (verify/checkpoint.hpp)
-  /// instead of the initial state; all counts above still equal a cold
-  /// run's.
-  bool resumed = false;
   std::optional<Counterexample> counterexample;
   /// Fingerprint summary of the stored discrete states (empty when the
   /// run found a violation before storing anything).

@@ -167,17 +167,6 @@ class Zone {
   std::uint64_t hash() const;
   bool operator==(const Zone& other) const;
 
-  /// Raw packed matrix — (clocks()+1)² words, row-major — for the
-  /// checkpoint serializer.  load_raw() restores verbatim (no re-close),
-  /// so the antichain's widened (deliberately non-canonical) matrices
-  /// survive the round trip bit-for-bit; the caller promises `words`
-  /// describes a non-empty zone of this dimension.
-  const PackedBound* raw() const { return dbm_; }
-  void load_raw(const PackedBound* words) {
-    for (std::size_t i = 0; i < static_cast<std::size_t>(n_) * n_; ++i) dbm_[i] = words[i];
-    empty_ = false;
-  }
-
   /// Monotone inclusion signature: sum of all (packed) entries, scaled to
   /// avoid overflow.  A ⊆ B implies signature(A) <= signature(B), so an
   /// antichain store can range-prune most subset tests on this scalar.

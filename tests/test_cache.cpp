@@ -1,8 +1,8 @@
 // The content-addressed result cache (api/cache.hpp) and its wiring
 // through Service::run / run_matrix: hits reproduce cold verdicts
 // bit-for-bit, expectations are re-derived per job, an entry does not
-// depend on which entry point stored it, out-of-budget frontiers
-// warm-resume, and the store degrades (never errors) on corruption and
+// depend on which entry point stored it, a starved proof keeps every
+// stored result, and the store degrades (never errors) on corruption and
 // stays under its size cap while scanning its directory only when the
 // running byte total calls for it.
 #include <gtest/gtest.h>
@@ -12,6 +12,7 @@
 #include <optional>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "api/service.hpp"
 #include "scenarios/registry.hpp"
@@ -192,22 +193,28 @@ TEST(ServiceCache, HitRecomputesExpectationForTheJobAtHand) {
   EXPECT_EQ(fingerprint(hit), fingerprint(cold));
 }
 
-TEST(ServiceCache, OutOfBudgetFrontierWarmResumesLargerBudgets) {
-  const std::string dir = fresh_dir("resume");
-  const std::string name = "three-entity-chain";
-  const Service service = cached_service(dir);
+TEST(ServiceCache, AStarvedProofKeepsEveryStoredResult) {
+  // The store holds final results only: an out-of-budget proof adds one
+  // small entry, so it cannot push earlier results out of a small store.
+  const std::string dir = fresh_dir("starved");
+  const Service service = cached_service(dir, 512 << 10);
+  const Job laser = smoke_job("laser-tracheotomy");
+  const Job press = smoke_job("factory-press");
+  ASSERT_EQ(service.run(laser).cache.misses, 1u);
+  ASSERT_EQ(service.run(press).cache.misses, 1u);
 
-  Job small = smoke_job(name);
-  small.tuning.max_states = 200;
-  const JobResult first = service.run(small);
-  ASSERT_EQ(first.verdict, "out-of-budget");
+  Job starved = smoke_job("three-entity-chain");
+  starved.tuning.max_states = 200;
+  ASSERT_EQ(service.run(starved).verdict, "out-of-budget");
 
-  const JobResult warm = service.run(smoke_job(name));
-  EXPECT_EQ(warm.cache.misses, 1u);  // different budget → different key
-  EXPECT_EQ(warm.cache.resumes, 1u);
-
-  const JobResult cold = Service().run(smoke_job(name));
-  EXPECT_EQ(fingerprint(warm), fingerprint(cold));
+  for (const Job& job : {laser, press, starved}) {
+    SCOPED_TRACE(job.scenario_ref);
+    EXPECT_EQ(service.run(job).cache.hits, 1u);
+  }
+  std::vector<std::string> stores;
+  for (const auto& entry : fs::directory_iterator(dir))
+    stores.push_back(entry.path().filename().string());
+  EXPECT_EQ(stores, std::vector<std::string>{"results"});
 }
 
 TEST(ServiceCache, MatrixSecondPassIsAllHits) {

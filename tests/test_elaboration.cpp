@@ -199,7 +199,7 @@ TEST(Elaborate, FreezeOutsideAndParentFlowInside) {
   EXPECT_NEAR(engine.var(0, p), 10.0, 1e-9);  // 5 s at rate 2
 
   engine.run_until(10.0);  // back in the child (timed return at t=8)
-  EXPECT_NEAR(engine.var(0, c), 5.0, 1e-9);   // resumed from 3
+  EXPECT_NEAR(engine.var(0, c), 5.0, 1e-9);   // continued from 3
 }
 
 TEST(Elaborate, TimedEgressGetsAccumulatingClock) {

@@ -93,7 +93,7 @@ TEST(Patient, BreathHoldDesaturatesPastThreshold) {
   h.run_for(76.0);  // a 2-minute stuck pause
   EXPECT_LT(h.patient.spo2(), 0.92);
   EXPECT_GE(h.patient.lung_o2(), PatientParams{}.lung_floor);
-  // Recovery once ventilation resumes.
+  // Recovery once ventilation restarts.
   h.ventilated = true;
   h.run_for(60.0);
   EXPECT_GT(h.patient.spo2(), 0.95);
@@ -167,7 +167,7 @@ TEST(Surgeon, ArmsTonInFallBackAndToffWhenEmitting) {
 
 TEST(Trial, NoLeaseForgetfulSurgeonCausesFireHazard) {
   // Without leases and with a surgeon who never cancels, the laser keeps
-  // emitting after the supervisor's bookkeeping gives up and resumes the
+  // emitting after the supervisor's bookkeeping gives up and restarts the
   // ventilator: oxygen flows into a lasing airway — the paper's
   // motivating catastrophe, visible as a physical fire event plus
   // embedding violations.  (The lease variant of the same scenario is

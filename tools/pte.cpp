@@ -80,7 +80,7 @@ constexpr const char* kUsage =
     "  (prover threads; scenarios default to 0 = hardware concurrency)\n"
     "  --losses K --injections K --states N (budget caps) --smoke --expect V\n"
     "caching (run/verify/matrix/frontier/fuzz): --cache-dir DIR (or PTE_CACHE_DIR)\n"
-    "  enables the content-addressed result cache + warm-resume checkpoints;\n"
+    "  enables the content-addressed result cache;\n"
     "  --no-cache disables it for one invocation.\n"
     "remote (run/verify): --connect HOST:PORT sends the job to a running\n"
     "  `pted` daemon instead of executing in-process.\n";
@@ -541,8 +541,7 @@ int cmd_fuzz(const util::ArgParser& args) {
     if (s.matrix_deduped > 0) std::printf(", %zu matrix-deduped", s.matrix_deduped);
     std::printf("\n");
     if (s.cache.enabled)
-      std::printf("cache: %zu hit(s), %zu miss(es), %zu resume(s)\n", s.cache.hits,
-                  s.cache.misses, s.cache.resumes);
+      std::printf("cache: %zu hit(s), %zu miss(es)\n", s.cache.hits, s.cache.misses);
     std::printf("wall: %.2f s (%.1f exec/s)\n", s.wall_s, s.execs_per_s);
   }
   for (const std::string& e : report.errors) std::fprintf(stderr, "error: %s\n", e.c_str());
@@ -647,8 +646,8 @@ int cmd_frontier(const util::ArgParser& args) {
       std::fprintf(stderr, "error: %s: %s\n", r.scenario.c_str(), e.c_str());
   for (const std::string& e : report.errors) std::fprintf(stderr, "error: %s\n", e.c_str());
   if (report.cache.enabled)
-    std::printf("\ncache: %zu hit(s), %zu miss(es), %zu resume(s)\n",
-                report.cache.hits, report.cache.misses, report.cache.resumes);
+    std::printf("\ncache: %zu hit(s), %zu miss(es)\n", report.cache.hits,
+                report.cache.misses);
   std::printf("\nFRONTIER %s\n", report.ok ? "PASSED" : "FAILED");
   return report.ok ? 0 : 1;
 }
@@ -677,8 +676,8 @@ int cmd_cache(const util::ArgParser& args) {
         std::fputs(stats.to_json().dump(2).c_str(), stdout);
         return 0;
       }
-      std::printf("cache %s: %zu result(s), %zu checkpoint(s), %llu / %llu bytes\n",
-                  stats.dir.c_str(), stats.results, stats.checkpoints,
+      std::printf("cache %s: %zu result(s), %llu / %llu bytes\n", stats.dir.c_str(),
+                  stats.results,
                   static_cast<unsigned long long>(stats.bytes),
                   static_cast<unsigned long long>(stats.max_bytes));
       return 0;
