@@ -1,29 +1,29 @@
 #include "campaign/context.hpp"
 
-#include <set>
-
 #include "core/events.hpp"
 #include "net/loss_model.hpp"
 #include "util/require.hpp"
-#include "util/text.hpp"
 
 namespace ptecps::campaign {
+
+namespace {
+
+/// Build the spec's pattern system and compile its automata.
+ScenarioPrototype compile_prototype(const ScenarioSpec& spec) {
+  ScenarioPrototype proto;
+  proto.built = core::build_pattern_system(spec.config, spec.approval, spec.with_lease,
+                                           spec.deadline_wait);
+  proto.system = hybrid::compile_system(std::move(proto.built.automata));
+  proto.built.automata.clear();
+  return proto;
+}
+
+}  // namespace
 
 std::shared_ptr<const ScenarioPrototype> ScenarioPrototype::build(const ScenarioSpec& spec) {
   PTE_REQUIRE(spec.custom_run == nullptr,
               "custom_run scenarios bypass the prototype machinery");
-  auto proto = std::make_shared<ScenarioPrototype>();
-  proto->built = core::build_pattern_system(spec.config, spec.approval, spec.with_lease,
-                                            spec.deadline_wait);
-  // Validate once here — the same checks Engine construction would run —
-  // so engines built from copies can skip re-validation.
-  std::set<std::string> names;
-  for (const auto& a : proto->built.automata) {
-    a.validate();
-    PTE_REQUIRE(names.insert(a.name()).second,
-                util::cat("duplicate automaton name '", a.name(), "'"));
-  }
-  return proto;
+  return std::make_shared<const ScenarioPrototype>(compile_prototype(spec));
 }
 
 SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t seed,
@@ -35,18 +35,16 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
     : spec_(spec), seed_(seed), rng_(seed) {
   // Construction order mirrors the historical hand-wired benches so a
   // context run is event-for-event identical for the same seed.
-  core::BuiltSystem built;
+  ScenarioPrototype standalone;
+  if (!prototype) {
+    standalone = compile_prototype(spec);
+    prototype = &standalone;
+  }
+  const core::BuiltSystem& built = prototype->built;
   hybrid::EngineOptions engine_options;
   engine_options.record_trace = spec.record_trace;
-  if (prototype) {
-    built = prototype->built;  // copy; prototype already validated
-    engine_options.validate_automata = false;
-  } else {
-    built = core::build_pattern_system(spec.config, spec.approval, spec.with_lease,
-                                       spec.deadline_wait);
-  }
   automaton_of_entity_ = built.automaton_of_entity;
-  engine_ = std::make_unique<hybrid::Engine>(std::move(built.automata), engine_options);
+  engine_ = std::make_unique<hybrid::Engine>(prototype->system, engine_options);
 
   network_ = std::make_unique<net::StarNetwork>(engine_->scheduler(), rng_,
                                                 spec.config.n_remotes);

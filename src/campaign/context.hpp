@@ -8,10 +8,10 @@
 // to the historical hand-wired code for the same seed.
 //
 // For campaigns the per-run construction cost matters: a ScenarioPrototype
-// caches the built-and-validated automata/routing table of a spec once,
-// and every run's engine is constructed from a copy with re-validation
-// switched off — copying automata is an order of magnitude cheaper than
-// rebuilding them.
+// builds, validates and compiles a spec's system once (automata, label
+// table, per-location edge tables, routing table), and every run's engine
+// shares that compiled system read-only.  A run copies no automaton and
+// interns no label; starting its engine costs one refcount bump.
 #pragma once
 
 #include <memory>
@@ -26,24 +26,31 @@
 
 namespace ptecps::campaign {
 
-/// The spec's system, built and validated once, shared (read-only) by all
-/// of the spec's runs — including runs on different campaign threads.
+/// The spec's system, built, validated and compiled once, shared
+/// (read-only) by all of the spec's runs — including runs on different
+/// campaign threads.
 struct ScenarioPrototype {
+  /// The automata and every table the engine derives from them.
+  std::shared_ptr<const hybrid::CompiledSystem> system;
+  /// The routing table and entity map (`built.automata` is empty: the
+  /// automata moved into `system`).
   core::BuiltSystem built;
 
+  /// Rejects custom_run specs, which build their own systems.
   static std::shared_ptr<const ScenarioPrototype> build(const ScenarioSpec& spec);
 };
 
 class SimulationContext {
  public:
   /// Wire one run of `spec` with `seed`.  Without a prototype the system
-  /// is built (and validated) from scratch — the standalone/one-shot path.
+  /// is built and compiled from scratch — the standalone/one-shot path.
   /// The context keeps a reference to `spec`, which must outlive it (the
   /// rvalue overload is deleted so a temporary can't bind).
   /// The raw-pointer overload is the campaign hot path: a worker reuses
-  /// the runner's prototype for thousands of runs, and a shared_ptr copy
-  /// per run means two contended atomic refcount bumps per run across
-  /// every worker thread.  The prototype must outlive the context.
+  /// the runner's prototype for thousands of runs, and the run's engine
+  /// already takes the one refcount bump (on the compiled system) a run
+  /// needs; a shared_ptr copy of the prototype would add two more.  The
+  /// prototype need only outlive the constructor call.
   SimulationContext(const ScenarioSpec& spec, std::uint64_t seed,
                     const ScenarioPrototype* prototype);
   SimulationContext(const ScenarioSpec& spec, std::uint64_t seed,

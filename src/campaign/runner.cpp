@@ -56,7 +56,7 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
     for (std::size_t k = 0; k < specs[si].seeds.size(); ++k) items.push_back({si, k});
   }
 
-  // One validated prototype per pattern-system spec, shared read-only by
+  // One compiled prototype per pattern-system spec, shared read-only by
   // every worker (custom_run specs manage their own construction).
   std::vector<std::shared_ptr<const ScenarioPrototype>> prototypes(specs.size());
   for (std::size_t si = 0; si < specs.size(); ++si) {
@@ -95,9 +95,9 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
           if (spec.custom_run) {
             slot.result = spec.custom_run(spec, seed);
           } else {
-            // Raw prototype pointer: no shared_ptr refcount traffic on
-            // the per-run hot path (the runner owns the prototypes for
-            // the whole campaign).
+            // Raw prototype pointer: the run's only refcount bump is its
+            // engine's share of the compiled system (the runner owns the
+            // prototypes for the whole campaign).
             SimulationContext ctx(spec, seed, prototypes[items[i].spec].get());
             slot.result = ctx.execute();
           }

@@ -24,6 +24,14 @@ std::string trigger_desc(const Edge& e) {
   return "?";
 }
 
+/// The table of an automaton that has not entered a location yet.
+const CompiledSystem::LocationInfo kUnentered{};
+
+const CompiledSystem& require_system(const std::shared_ptr<const CompiledSystem>& system) {
+  PTE_REQUIRE(system != nullptr, "engine needs a compiled system");
+  return *system;
+}
+
 /// One RK4 step of width h on valuation x under `flow`.
 void rk4_step(const Flow& flow, Valuation& x, double h) {
   const std::size_t n = x.size();
@@ -50,57 +58,78 @@ void BroadcastRouter::route(Engine& engine, std::size_t src_automaton, const Syn
   }
 }
 
-Engine::Engine(std::vector<Automaton> automata, EngineOptions options)
-    : automata_(std::move(automata)), options_(options) {
-  PTE_REQUIRE(!automata_.empty(), "engine needs at least one automaton");
-  if (options_.validate_automata) {
-    std::set<std::string> names;
-    for (const auto& a : automata_) {
-      a.validate();
-      PTE_REQUIRE(names.insert(a.name()).second,
-                  util::cat("duplicate automaton name '", a.name(), "'"));
-    }
+std::shared_ptr<const CompiledSystem> compile_system(std::vector<Automaton> automata) {
+  PTE_REQUIRE(!automata.empty(), "engine needs at least one automaton");
+  std::set<std::string> names;
+  for (const auto& a : automata) {
+    a.validate();
+    PTE_REQUIRE(names.insert(a.name()).second,
+                util::cat("duplicate automaton name '", a.name(), "'"));
   }
-  states_.resize(automata_.size());
-  build_label_tables();
-}
-
-void Engine::build_label_tables() {
-  edge_trigger_label_.resize(automata_.size());
-  edge_emit_labels_.resize(automata_.size());
-  edge_trigger_desc_.resize(automata_.size());
-  for (std::size_t a = 0; a < automata_.size(); ++a) {
-    const auto& edges = automata_[a].edges();
-    edge_trigger_label_[a].assign(edges.size(), kNoLabel);
-    edge_emit_labels_[a].resize(edges.size());
-    edge_trigger_desc_[a].resize(edges.size());
-    for (EdgeId ei = 0; ei < edges.size(); ++ei) {
-      const Edge& e = edges[ei];
-      if (e.kind == TriggerKind::kEvent)
-        edge_trigger_label_[a][ei] = labels_.intern(e.trigger.root);
-      for (const auto& emit : e.emits)
-        edge_emit_labels_[a][ei].push_back(labels_.intern(emit.root));
-      edge_trigger_desc_[a][ei] = trigger_desc(e);
+  auto sys = std::make_shared<CompiledSystem>();
+  sys->automata = std::move(automata);
+  const std::size_t n = sys->automata.size();
+  sys->edges.resize(n);
+  sys->locations.resize(n);
+  for (std::size_t a = 0; a < n; ++a) {
+    const Automaton& aut = sys->automata[a];
+    auto& edges = sys->edges[a];
+    edges.resize(aut.num_edges());
+    for (EdgeId ei = 0; ei < aut.num_edges(); ++ei) {
+      const Edge& e = aut.edge(ei);
+      if (e.kind == TriggerKind::kEvent) edges[ei].trigger = sys->labels.intern(e.trigger.root);
+      for (const auto& emit : e.emits) edges[ei].emits.push_back(sys->labels.intern(emit.root));
+      edges[ei].description = trigger_desc(e);
+    }
+    auto& locations = sys->locations[a];
+    locations.resize(aut.num_locations());
+    for (LocId l = 0; l < aut.num_locations(); ++l) {
+      CompiledSystem::LocationInfo& info = locations[l];
+      const Flow& flow = aut.location(l).flow;
+      info.rates = flow.dense_rates(aut.num_vars());
+      info.has_ode = flow.has_ode();
+      info.needs_integration = info.has_ode;
+      for (double r : info.rates) {
+        if (r != 0.0) info.needs_integration = true;
+      }
+      for (EdgeId ei : aut.edges_from(l)) {
+        switch (aut.edge(ei).kind) {
+          case TriggerKind::kCondition: info.condition_edges.push_back(ei); break;
+          case TriggerKind::kEvent: info.event_edges.emplace_back(ei, edges[ei].trigger); break;
+          case TriggerKind::kTimed: info.timed_edges.push_back(ei); break;
+        }
+      }
     }
   }
   // Broadcast receiver lists: automaton index order = the deterministic
   // delivery order of the old string-scanning broadcast.
-  receivers_.resize(labels_.size());
-  for (std::size_t a = 0; a < automata_.size(); ++a) {
-    std::vector<bool> seen(labels_.size(), false);
-    for (EdgeId ei = 0; ei < automata_[a].edges().size(); ++ei) {
-      const LabelId id = edge_trigger_label_[a][ei];
-      if (id != kNoLabel && !seen[id]) {
-        seen[id] = true;
-        receivers_[id].push_back(a);
+  sys->receivers.resize(sys->labels.size());
+  for (std::size_t a = 0; a < n; ++a) {
+    std::vector<bool> seen(sys->labels.size(), false);
+    for (const CompiledSystem::EdgeInfo& e : sys->edges[a]) {
+      if (e.trigger != kNoLabel && !seen[e.trigger]) {
+        seen[e.trigger] = true;
+        sys->receivers[e.trigger].push_back(a);
       }
     }
   }
+  return sys;
+}
+
+Engine::Engine(std::vector<Automaton> automata, EngineOptions options)
+    : Engine(compile_system(std::move(automata)), options) {}
+
+Engine::Engine(std::shared_ptr<const CompiledSystem> system, EngineOptions options)
+    : system_(std::move(system)), automata_(require_system(system_).automata),
+      options_(options) {
+  states_.resize(automata_.size());
+  for (AutomatonState& st : states_) st.info = &kUnentered;
 }
 
 const std::vector<std::size_t>& Engine::receivers(LabelId label) const {
   static const std::vector<std::size_t> kEmpty;
-  return label < receivers_.size() ? receivers_[label] : kEmpty;
+  const auto& receivers = system_->receivers;
+  return label < receivers.size() ? receivers[label] : kEmpty;
 }
 
 void Engine::set_router(EventRouter* router) {
@@ -186,29 +215,6 @@ void Engine::check_invariant(std::size_t a) {
                         automata_[a].location(st.loc).name, "' at t=", cont_time_));
 }
 
-void Engine::rebuild_caches(std::size_t a) {
-  auto& st = states_[a];
-  const auto& aut = automata_[a];
-  const auto& flow = aut.location(st.loc).flow;
-  st.rates = flow.dense_rates(aut.num_vars());
-  st.has_ode = flow.has_ode();
-  st.needs_integration = st.has_ode;
-  for (double r : st.rates) {
-    if (r != 0.0) st.needs_integration = true;
-  }
-  st.condition_edges.clear();
-  st.event_edges.clear();
-  for (EdgeId ei : aut.edges_from(st.loc)) {
-    switch (aut.edge(ei).kind) {
-      case TriggerKind::kCondition: st.condition_edges.push_back(ei); break;
-      case TriggerKind::kEvent:
-        st.event_edges.emplace_back(ei, edge_trigger_label_[a][ei]);
-        break;
-      case TriggerKind::kTimed: break;
-    }
-  }
-}
-
 void Engine::cancel_timed_edges(std::size_t a) {
   for (auto& h : states_[a].timed_handles) scheduler_.cancel(h);
   states_[a].timed_handles.clear();
@@ -216,10 +222,8 @@ void Engine::cancel_timed_edges(std::size_t a) {
 
 void Engine::schedule_timed_edges(std::size_t a) {
   auto& st = states_[a];
-  const auto& aut = automata_[a];
-  for (EdgeId ei : aut.edges_from(st.loc)) {
-    const Edge& e = aut.edge(ei);
-    if (e.kind != TriggerKind::kTimed) continue;
+  for (EdgeId ei : st.info->timed_edges) {
+    const Edge& e = automata_[a].edge(ei);
     const std::uint64_t epoch = st.epoch;
     auto handle = scheduler_.schedule_at(cont_time_ + e.dwell, [this, a, ei, epoch] {
       auto& state = states_[a];
@@ -238,8 +242,8 @@ void Engine::enter_location(std::size_t a, LocId loc, const std::string& trigger
   ++st.epoch;
   cancel_timed_edges(a);
   st.loc = loc;
+  st.info = &system_->locations[a][loc];
   st.entry_time = cont_time_;
-  rebuild_caches(a);
   ++transitions_taken_;
   if (options_.record_trace)
     record(TraceRecord{cont_time_, a, TraceKind::kTransition, from, loc, trigger, 0.0});
@@ -259,14 +263,14 @@ void Engine::fire_edge(std::size_t a, EdgeId ei) {
   PTE_CHECK(e.src == st.loc, "firing edge whose source is not the current location");
   e.reset.apply(cont_time_, st.x);
   const LocId from = st.loc;
-  enter_location(a, e.dst, edge_trigger_desc_[a][ei], from);
-  const std::vector<LabelId>& emit_ids = edge_emit_labels_[a][ei];
+  const CompiledSystem::EdgeInfo& info = system_->edges[a][ei];
+  enter_location(a, e.dst, info.description, from);
   for (std::size_t k = 0; k < e.emits.size(); ++k) {
     const SyncLabel& label = e.emits[k];
     if (options_.record_trace)
       record(TraceRecord{cont_time_, a, TraceKind::kEmit, from, e.dst, label.str(), 0.0});
     for (const auto& obs : emit_observers_) obs(a, cont_time_, label);
-    router_->route(*this, a, label, emit_ids[k]);
+    router_->route(*this, a, label, info.emits[k]);
   }
   settle_conditions(a);
   --cascade_depth_;
@@ -274,7 +278,7 @@ void Engine::fire_edge(std::size_t a, EdgeId ei) {
 
 void Engine::settle_conditions(std::size_t a) {
   auto& st = states_[a];
-  for (EdgeId ei : st.condition_edges) {
+  for (EdgeId ei : st.info->condition_edges) {
     const Edge& e = automata_[a].edge(ei);
     if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
       fire_edge(a, ei);  // fire_edge re-settles the destination location
@@ -287,18 +291,18 @@ bool Engine::dispatch_event(std::size_t a, LabelId label, TraceKind kind) {
   PTE_REQUIRE(initialized_, "engine not initialized");
   PTE_REQUIRE(a < states_.size(), "automaton index out of range");
   auto& st = states_[a];
-  for (const auto& [ei, trigger] : st.event_edges) {
+  for (const auto& [ei, trigger] : st.info->event_edges) {
     if (trigger != label) continue;
     const Edge& e = automata_[a].edge(ei);
     if (!e.guard.eval(st.x, cont_time_ - st.entry_time)) continue;
     if (options_.record_trace)
-      record(TraceRecord{cont_time_, a, kind, st.loc, e.dst, labels_.root_of(label), 0.0});
+      record(TraceRecord{cont_time_, a, kind, st.loc, e.dst, system_->labels.root_of(label), 0.0});
     fire_edge(a, ei);
     return true;
   }
   if (options_.record_trace)
     record(TraceRecord{cont_time_, a, TraceKind::kIgnoredEvent, st.loc, st.loc,
-                       labels_.root_of(label), 0.0});
+                       system_->labels.root_of(label), 0.0});
   return false;
 }
 
@@ -315,7 +319,7 @@ bool Engine::dispatch_unknown(std::size_t a, const std::string& root, TraceKind 
 }
 
 bool Engine::deliver(std::size_t automaton, const std::string& root) {
-  const LabelId id = labels_.find(root);
+  const LabelId id = system_->labels.find(root);
   if (id == kNoLabel) return dispatch_unknown(automaton, root, TraceKind::kDeliver);
   return dispatch_event(automaton, id, TraceKind::kDeliver);
 }
@@ -325,7 +329,7 @@ bool Engine::deliver(std::size_t automaton, LabelId label) {
 }
 
 bool Engine::inject(std::size_t automaton, const std::string& root) {
-  const LabelId id = labels_.find(root);
+  const LabelId id = system_->labels.find(root);
   if (id == kNoLabel) return dispatch_unknown(automaton, root, TraceKind::kInject);
   return dispatch_event(automaton, id, TraceKind::kInject);
 }
@@ -351,23 +355,24 @@ void Engine::add_sampler(std::size_t automaton, VarId v, sim::SimTime period) {
   PTE_REQUIRE(automaton < automata_.size(), "automaton index out of range");
   PTE_REQUIRE(v < automata_[automaton].num_vars(), "variable out of range");
   PTE_REQUIRE(period > 0.0, "sampler period must be positive");
-  auto tick = std::make_shared<std::function<void()>>();
-  *tick = [this, automaton, v, period, tick] {
-    record(TraceRecord{cont_time_, automaton, TraceKind::kSample, states_[automaton].loc,
-                       states_[automaton].loc, automata_[automaton].var_name(v),
-                       states_[automaton].x[v]});
-    scheduler_.schedule_in(period, *tick);
-  };
-  scheduler_.schedule_at(cont_time_, *tick);
+  scheduler_.schedule_at(cont_time_,
+                         [this, automaton, v, period] { sample(automaton, v, period); });
+}
+
+void Engine::sample(std::size_t automaton, VarId v, sim::SimTime period) {
+  record(TraceRecord{cont_time_, automaton, TraceKind::kSample, states_[automaton].loc,
+                     states_[automaton].loc, automata_[automaton].var_name(v),
+                     states_[automaton].x[v]});
+  scheduler_.schedule_in(period, [this, automaton, v, period] { sample(automaton, v, period); });
 }
 
 sim::SimTime Engine::next_exact_crossing(std::size_t a) const {
   const auto& st = states_[a];
-  if (st.has_ode) return kInf;  // handled by the sampling path
+  if (st.info->has_ode) return kInf;  // handled by the sampling path
   double best = kInf;
-  for (EdgeId ei : st.condition_edges) {
+  for (EdgeId ei : st.info->condition_edges) {
     const Edge& e = automata_[a].edge(ei);
-    const double dt_lin = e.guard.time_to_satisfy(st.x, st.rates);
+    const double dt_lin = e.guard.time_to_satisfy(st.x, st.info->rates);
     if (!std::isfinite(dt_lin)) continue;
     const double dwell_now = cont_time_ - st.entry_time;
     const double dt = std::max(dt_lin, std::max(0.0, e.guard.min_dwell() - dwell_now));
@@ -376,7 +381,7 @@ sim::SimTime Engine::next_exact_crossing(std::size_t a) const {
     if (dt > dt_lin) {
       bool still_ok = true;
       for (const auto& c : e.guard.constraints()) {
-        if (c.margin(st.x) + dt * c.margin_rate(st.rates) < -1e-9) {
+        if (c.margin(st.x) + dt * c.margin_rate(st.info->rates) < -1e-9) {
           still_ok = false;
           break;
         }
@@ -390,10 +395,10 @@ sim::SimTime Engine::next_exact_crossing(std::size_t a) const {
 
 void Engine::integrate_automaton(std::size_t a, sim::SimTime from, sim::SimTime to) {
   auto& st = states_[a];
-  if (!st.needs_integration || to <= from) return;
+  if (!st.info->needs_integration || to <= from) return;
   const double h = to - from;
-  if (!st.has_ode) {
-    for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] += st.rates[i] * h;
+  if (!st.info->has_ode) {
+    for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] += st.info->rates[i] * h;
     return;
   }
   const Flow& flow = automata_[a].location(st.loc).flow;
@@ -408,7 +413,7 @@ bool Engine::advance_continuous(sim::SimTime target) {
     //    against guards enabled exactly at the current instant).
     for (std::size_t a = 0; a < automata_.size(); ++a) {
       auto& st = states_[a];
-      for (EdgeId ei : st.condition_edges) {
+      for (EdgeId ei : st.info->condition_edges) {
         const Edge& e = automata_[a].edge(ei);
         if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
           scheduler_.run_until(cont_time_);
@@ -436,7 +441,7 @@ bool Engine::advance_continuous(sim::SimTime target) {
     // 2. Step horizon: ODE automata advance at most dt_max per chunk.
     bool any_ode = false;
     for (const auto& st : states_) {
-      if (st.needs_integration && st.has_ode) any_ode = true;
+      if (st.info->needs_integration && st.info->has_ode) any_ode = true;
     }
     sim::SimTime step_end = target;
     if (any_ode) step_end = std::min(step_end, cont_time_ + options_.dt_max);
@@ -449,7 +454,7 @@ bool Engine::advance_continuous(sim::SimTime target) {
       // (ODE automata are also checked below after integration.)
       std::vector<Valuation> saved(automata_.size());
       for (std::size_t a = 0; a < automata_.size(); ++a) {
-        if (states_[a].has_ode) saved[a] = states_[a].x;
+        if (states_[a].info->has_ode) saved[a] = states_[a].x;
         integrate_automaton(a, cont_time_, tc);
       }
       const sim::SimTime t_from = cont_time_;
@@ -461,8 +466,8 @@ bool Engine::advance_continuous(sim::SimTime target) {
       EdgeId oe = 0;
       for (std::size_t a = 0; a < automata_.size(); ++a) {
         auto& st = states_[a];
-        if (!st.has_ode) continue;
-        for (EdgeId ei : st.condition_edges) {
+        if (!st.info->has_ode) continue;
+        for (EdgeId ei : st.info->condition_edges) {
           const Edge& e = automata_[a].edge(ei);
           if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
             // Bisect within [t_from, tc] using the saved state.
@@ -489,13 +494,13 @@ bool Engine::advance_continuous(sim::SimTime target) {
         // Re-integrate every automaton to the earlier ODE crossing.
         for (std::size_t a = 0; a < automata_.size(); ++a) {
           auto& st = states_[a];
-          if (st.has_ode) {
+          if (st.info->has_ode) {
             st.x = saved[a];
             cont_time_ = t_from;  // for integrate bookkeeping only
             integrate_automaton(a, t_from, t_ode);
           } else {
             const double back = tc - t_ode;
-            for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] -= st.rates[i] * back;
+            for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] -= st.info->rates[i] * back;
           }
         }
         cont_time_ = t_ode;
@@ -507,13 +512,13 @@ bool Engine::advance_continuous(sim::SimTime target) {
         return true;
       }
       for (std::size_t a = 0; a < automata_.size(); ++a) {
-        if (states_[a].needs_integration) check_invariant(a);
+        if (states_[a].info->needs_integration) check_invariant(a);
       }
       scheduler_.run_until(tc);
       // The exact crossing: re-verify (a same-instant event may have moved
       // the automaton).
       auto& st = states_[xa];
-      for (EdgeId ei : st.condition_edges) {
+      for (EdgeId ei : st.info->condition_edges) {
         const Edge& e = automata_[xa].edge(ei);
         if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
           fire_edge(xa, ei);
@@ -527,7 +532,7 @@ bool Engine::advance_continuous(sim::SimTime target) {
     //    step_end and look for ODE guard crossings by sampling.
     std::vector<Valuation> saved(automata_.size());
     for (std::size_t a = 0; a < automata_.size(); ++a) {
-      if (states_[a].has_ode) saved[a] = states_[a].x;
+      if (states_[a].info->has_ode) saved[a] = states_[a].x;
       integrate_automaton(a, cont_time_, step_end);
     }
     const sim::SimTime t_from = cont_time_;
@@ -538,8 +543,8 @@ bool Engine::advance_continuous(sim::SimTime target) {
     EdgeId oe = 0;
     for (std::size_t a = 0; a < automata_.size(); ++a) {
       auto& st = states_[a];
-      if (!st.has_ode) continue;
-      for (EdgeId ei : st.condition_edges) {
+      if (!st.info->has_ode) continue;
+      for (EdgeId ei : st.info->condition_edges) {
         const Edge& e = automata_[a].edge(ei);
         if (!e.guard.eval(st.x, cont_time_ - st.entry_time)) continue;
         double lo = 0.0, hi = step_end - t_from;
@@ -563,12 +568,12 @@ bool Engine::advance_continuous(sim::SimTime target) {
     if (std::isfinite(t_ode)) {
       for (std::size_t a = 0; a < automata_.size(); ++a) {
         auto& st = states_[a];
-        if (st.has_ode) {
+        if (st.info->has_ode) {
           st.x = saved[a];
           integrate_automaton(a, t_from, t_ode);
         } else {
           const double back = step_end - t_ode;
-          for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] -= st.rates[i] * back;
+          for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] -= st.info->rates[i] * back;
         }
       }
       cont_time_ = t_ode;
@@ -580,7 +585,7 @@ bool Engine::advance_continuous(sim::SimTime target) {
       return true;
     }
     for (std::size_t a = 0; a < automata_.size(); ++a) {
-      if (states_[a].needs_integration) check_invariant(a);
+      if (states_[a].info->needs_integration) check_invariant(a);
     }
     // Chunk completed without crossings; loop continues toward target.
   }

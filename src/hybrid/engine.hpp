@@ -65,17 +65,56 @@ struct EngineOptions {
   unsigned max_cascade = 4096;  // same-instant transition bound (non-zeno)
   bool record_trace = true;
   bool throw_on_invariant_violation = false;
-  /// Structural validation of every automaton at engine construction.
-  /// The campaign runtime validates a scenario's prototype system once
-  /// and then constructs engines from copies with this switched off.
-  bool validate_automata = true;
 };
+
+/// A system compiled for execution: the validated automata plus every
+/// table the engine derives from them.  It is immutable once built, so
+/// any number of engines — including engines on different threads —
+/// share one through a std::shared_ptr<const CompiledSystem>.  A
+/// Monte-Carlo campaign compiles each scenario's system once; every run's
+/// engine then starts without copying an automaton or interning a label.
+struct CompiledSystem {
+  /// What an edge contributes at run time, resolved to dense ids.
+  struct EdgeInfo {
+    LabelId trigger = kNoLabel;   // interned trigger root (event edges)
+    std::vector<LabelId> emits;   // interned emit roots, in `emits` order
+    std::string description;      // trace text of the transition it fires
+  };
+  /// What the engine needs while dwelling in one location.  Edge lists
+  /// keep Automaton::edges_from order, the engine's tie-break.
+  struct LocationInfo {
+    std::vector<double> rates;    // dense constant rates
+    bool has_ode = false;
+    bool needs_integration = false;  // any nonzero rate or ODE
+    std::vector<EdgeId> condition_edges;
+    std::vector<std::pair<EdgeId, LabelId>> event_edges;  // edge + trigger id
+    std::vector<EdgeId> timed_edges;
+  };
+
+  std::vector<Automaton> automata;
+  /// Every sync-label root of every automaton, interned in automaton,
+  /// edge, then trigger-before-emits order.
+  LabelTable labels;
+  /// [label] → automata declaring a reception edge for it, in index order.
+  std::vector<std::vector<std::size_t>> receivers;
+  std::vector<std::vector<EdgeInfo>> edges;          // [automaton][edge]
+  std::vector<std::vector<LocationInfo>> locations;  // [automaton][location]
+};
+
+/// Validate `automata` (Automaton::validate on each, and unique names)
+/// and derive every table.  Throws std::invalid_argument on the first
+/// problem.
+std::shared_ptr<const CompiledSystem> compile_system(std::vector<Automaton> automata);
 
 class Engine {
  public:
-  /// The engine owns its scheduler; automata are moved in and fixed for
-  /// the engine's lifetime.  Call init() before run_until().
+  /// Compile `automata` and run them: the one-shot path for tests,
+  /// examples and replays.  Same as Engine(compile_system(automata)).
   Engine(std::vector<Automaton> automata, EngineOptions options = {});
+  /// Run a compiled system, shared read-only for the engine's lifetime.
+  /// The engine owns its scheduler and all run state.  Call init()
+  /// before run_until().
+  Engine(std::shared_ptr<const CompiledSystem> system, EngineOptions options = {});
 
   // -- wiring --------------------------------------------------------------
   /// Replace the default BroadcastRouter.  The router must outlive the
@@ -136,10 +175,10 @@ class Engine {
   Trace& trace() { return trace_; }
   const Trace& trace() const { return trace_; }
 
-  /// Interned sync-label roots of every automaton (built at construction).
-  const LabelTable& labels() const { return labels_; }
+  /// Interned sync-label roots of every automaton (built at compilation).
+  const LabelTable& labels() const { return system_->labels; }
   /// Id of `root`, or kNoLabel if no automaton uses it.
-  LabelId label_id(const std::string& root) const { return labels_.find(root); }
+  LabelId label_id(const std::string& root) const { return system_->labels.find(root); }
   /// Automata declaring a reception edge for `label` anywhere, in index
   /// order — the precomputed broadcast receiver list.
   const std::vector<std::size_t>& receivers(LabelId label) const;
@@ -152,21 +191,16 @@ class Engine {
  private:
   struct AutomatonState {
     LocId loc = kNoLoc;
+    /// The compiled table of `loc` (rates, edge lists).
+    const CompiledSystem::LocationInfo* info = nullptr;
     Valuation x;
     sim::SimTime entry_time = 0.0;
     std::uint64_t epoch = 0;
     std::vector<sim::EventHandle> timed_handles;
-    // Per-location caches, rebuilt on entry:
-    std::vector<double> rates;          // dense constant rates
-    bool has_ode = false;
-    bool needs_integration = false;     // any nonzero rate or ODE
-    std::vector<EdgeId> condition_edges;
-    std::vector<std::pair<EdgeId, LabelId>> event_edges;  // edge + trigger id
   };
 
   void enter_location(std::size_t a, LocId loc, const std::string& trigger_desc, LocId from);
   void fire_edge(std::size_t a, EdgeId e);
-  void rebuild_caches(std::size_t a);
   void schedule_timed_edges(std::size_t a);
   void cancel_timed_edges(std::size_t a);
   /// Fire condition edges enabled right now (entry eagerness); loops until
@@ -174,9 +208,8 @@ class Engine {
   void settle_conditions(std::size_t a);
   bool dispatch_event(std::size_t a, LabelId label, TraceKind kind);
   bool dispatch_unknown(std::size_t a, const std::string& root, TraceKind kind);
-  /// Build labels_/receivers_ and the per-edge id + trigger-description
-  /// caches (construction time; the run loop only touches dense ids).
-  void build_label_tables();
+  /// One add_sampler tick: record the sample, then reschedule itself.
+  void sample(std::size_t automaton, VarId var, sim::SimTime period);
 
   /// Integrate all automata from cont_time_ to `target`; if a condition
   /// edge crossing occurs earlier, stop there, fire it (+ cascades) and
@@ -188,14 +221,10 @@ class Engine {
   void record(TraceRecord r);
   void check_invariant(std::size_t a);
 
-  std::vector<Automaton> automata_;
+  std::shared_ptr<const CompiledSystem> system_;
+  const std::vector<Automaton>& automata_;  // system_->automata
   EngineOptions options_;
   sim::Scheduler scheduler_;
-  LabelTable labels_;
-  std::vector<std::vector<std::size_t>> receivers_;          // [label] -> automata
-  std::vector<std::vector<LabelId>> edge_trigger_label_;     // [a][edge]
-  std::vector<std::vector<std::vector<LabelId>>> edge_emit_labels_;  // [a][edge][emit]
-  std::vector<std::vector<std::string>> edge_trigger_desc_;  // [a][edge]
   BroadcastRouter default_router_;
   EventRouter* router_ = &default_router_;
   std::vector<AutomatonState> states_;

@@ -5,10 +5,11 @@
 // delivery is matched against the enabled event edges of the receiver.
 // Doing that with string comparisons costs a hash or a character-wise
 // compare per candidate edge.  The LabelTable assigns each distinct label
-// root a dense LabelId once (at engine construction), after which routing
-// and dispatch compare 32-bit integers; the root strings survive only for
-// the trace/debug boundary (and the wire format, where packets carry the
-// root so independently-built nodes agree on meaning, not on table order).
+// root a dense LabelId once (in hybrid::compile_system), after which
+// routing and dispatch compare 32-bit integers; the root strings survive
+// only for the trace/debug boundary (and the wire format, where packets
+// carry the root so independently-built nodes agree on meaning, not on
+// table order).
 #pragma once
 
 #include <cstdint>

@@ -177,6 +177,12 @@ TEST(SimulationContext, PrototypeSharingChangesNothing) {
     ctx.run_until(200.0);
   };
   const auto proto = campaign::ScenarioPrototype::build(spec);
+  {
+    // Runs share the prototype's compiled automata; none holds a copy.
+    campaign::SimulationContext first(spec, 1, proto);
+    campaign::SimulationContext second(spec, 2, proto);
+    EXPECT_EQ(&first.engine().automaton(0), &second.engine().automaton(0));
+  }
   for (std::uint64_t seed : {7ull, 8ull, 9ull}) {
     campaign::SimulationContext fresh(spec, seed);
     campaign::SimulationContext shared(spec, seed, proto);

@@ -510,5 +510,18 @@ TEST(Engine, CascadeLimitThrows) {
   EXPECT_THROW(engine.init(), std::logic_error);
 }
 
+TEST(Engine, RejectsInvalidOrDuplicateAutomata) {
+  Automaton no_initial("no-initial");
+  no_initial.add_location("s0");
+  EXPECT_THROW(compile_system({no_initial}), std::invalid_argument);
+  EXPECT_THROW(Engine({no_initial}), std::invalid_argument);
+
+  EXPECT_THROW(compile_system({two_state_timer(1.0), two_state_timer(2.0)}),
+               std::invalid_argument);
+  EXPECT_THROW(Engine({two_state_timer(1.0), two_state_timer(2.0)}), std::invalid_argument);
+
+  EXPECT_NO_THROW(compile_system({two_state_timer(1.0)}));
+}
+
 }  // namespace
 }  // namespace ptecps::hybrid

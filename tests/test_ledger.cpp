@@ -9,6 +9,14 @@
 // every document but edge-dwell-safe-n3, which alone takes seconds at 1
 // thread.
 //
+// tests/golden/samples.json pins the sampler the same way: one row per
+// document, each one Monte-Carlo campaign of 64 seeds on the document's
+// resolved spec (its declared seed base, horizon and attacker) through
+// campaign::CampaignRunner.  A row records the campaign totals and the
+// SHA-256 of the canonical JSON array of per-run records, so any moved
+// sampled stream shows.  Every row must match at 1 campaign thread and
+// again at 4.
+//
 // A change that means to move a count pastes the row printed on the
 // mismatch into the ledger by hand, in the same diff that moves it.
 #include <gtest/gtest.h>
@@ -24,6 +32,7 @@
 #include <vector>
 
 #include "api/service.hpp"
+#include "campaign/runner.hpp"
 #include "scenarios/registry.hpp"
 #include "scenarios/serialize.hpp"
 #include "util/digest.hpp"
@@ -96,22 +105,26 @@ util::Json ledger_row(Job job, std::size_t verify_threads) {
   return row;
 }
 
-/// The checked-in rows, keyed by scenario name.
-std::map<std::string, util::Json> golden_rows() {
-  const util::Json golden = util::Json::parse(read_text(kTestsDir / "golden" / "counters.json"));
+/// The checked-in rows of `file` under tests/golden/, keyed by scenario name.
+std::map<std::string, util::Json> golden_rows(const char* file) {
+  const util::Json golden = util::Json::parse(read_text(kTestsDir / "golden" / file));
   std::map<std::string, util::Json> rows;
   for (const util::Json& row : golden.at("rows").as_array())
     rows.emplace(row.at("scenario").as_string(), row);
   return rows;
 }
 
-void expect_ledger_rows(std::size_t verify_threads, const std::set<std::string>& skip) {
-  const std::map<std::string, util::Json> golden = golden_rows();
+/// Check every document's `row_of(job)` against its row in `file`,
+/// skipping the names in `skip`; `where` labels the thread count.
+template <typename RowOf>
+void expect_rows(const char* file, const std::string& where,
+                 const std::set<std::string>& skip, RowOf row_of) {
+  const std::map<std::string, util::Json> golden = golden_rows(file);
   for (const Job& job : ledger_jobs()) {
     const std::string name = job_name(job);
     if (skip.contains(name)) continue;
-    SCOPED_TRACE(util::cat(name, " at ", verify_threads, " verify thread(s)"));
-    const util::Json row = ledger_row(job, verify_threads);
+    SCOPED_TRACE(util::cat(name, " at ", where));
+    const util::Json row = row_of(job);
     const auto it = golden.find(name);
     const std::string expected =
         it == golden.end() ? "(no row)" : it->second.dump_canonical();
@@ -119,12 +132,86 @@ void expect_ledger_rows(std::size_t verify_threads, const std::set<std::string>&
   }
 }
 
-TEST(CounterLedger, HasOneRowPerRegistryEntryAndCorpusDocument) {
+void expect_ledger_rows(std::size_t verify_threads, const std::set<std::string>& skip) {
+  expect_rows("counters.json", util::cat(verify_threads, " verify thread(s)"), skip,
+              [&](const Job& job) { return ledger_row(job, verify_threads); });
+}
+
+template <typename T>
+util::Json json_array(const std::vector<T>& values) {
+  util::Json out = util::Json::array();
+  for (const T& v : values) out.push_back(v);
+  return out;
+}
+
+/// One run's record in a sampler-ledger digest.
+util::Json run_record(const campaign::RunResult& r) {
+  util::Json rec = util::Json::object();
+  rec.set("seed", r.seed);
+  rec.set("violations", r.violations);
+  rec.set("transitions", r.session.transitions);
+  rec.set("wireless_sends", r.session.wireless_sends);
+  rec.set("sessions", r.session.sessions);
+  rec.set("censored_sessions", r.session.censored_sessions);
+  rec.set("max_system_reset", r.session.max_system_reset);
+  rec.set("episodes", json_array(r.session.episodes));
+  rec.set("max_dwell", json_array(r.session.max_dwell));
+  rec.set("lease_stops", json_array(r.session.lease_stops));
+  rec.set("sent", r.network.sent);
+  rec.set("delivered", r.network.delivered);
+  rec.set("lost", r.network.lost);
+  rec.set("corrupted", r.network.corrupted);
+  rec.set("rejected_late", r.network.rejected_late);
+  rec.set("duplicated", r.network.duplicated);
+  return rec;
+}
+
+/// The sampler-ledger row of one 64-seed Monte-Carlo campaign on the
+/// job's resolved spec at `campaign_threads`.
+util::Json sample_row(Job job, std::size_t campaign_threads) {
+  job.mode = campaign::RunMode::kMonteCarlo;
+  job.tuning.seed_count = 64;
+  const campaign::ScenarioSpec spec =
+      scenarios::build(resolved_params(job, resolve_scenario(job)));
+  campaign::CampaignOptions options;
+  options.threads = campaign_threads;
+  const campaign::CampaignReport report = campaign::CampaignRunner(options).run(spec);
+  const campaign::ScenarioOutcome& out = report.scenarios.at(0);
+  util::Json records = util::Json::array();
+  std::uint64_t transitions = 0;
+  for (const campaign::RunResult& r : out.runs) {
+    records.push_back(run_record(r));
+    transitions += r.session.transitions;
+  }
+  util::Json row = util::Json::object();
+  row.set("scenario", out.name);
+  row.set("runs", out.runs.size());
+  row.set("violations", out.total_violations);
+  row.set("sessions", out.total_sessions);
+  row.set("censored_sessions", out.censored_sessions);
+  row.set("packets_sent", out.network.sent);
+  row.set("packets_delivered", out.network.delivered);
+  row.set("transitions", transitions);
+  row.set("runs_sha256", util::Sha256::hex(records.dump_canonical()));
+  if (!report.errors.empty()) row.set("errors", util::join(report.errors, "; "));
+  return row;
+}
+
+void expect_sample_rows(std::size_t campaign_threads) {
+  expect_rows("samples.json", util::cat(campaign_threads, " campaign thread(s)"), {},
+              [&](const Job& job) { return sample_row(job, campaign_threads); });
+}
+
+void expect_one_row_per_document(const char* file) {
   std::set<std::string> names;
   for (const Job& job : ledger_jobs()) names.insert(job_name(job));
   std::set<std::string> rows;
-  for (const auto& [name, row] : golden_rows()) rows.insert(name);
+  for (const auto& [name, row] : golden_rows(file)) rows.insert(name);
   EXPECT_EQ(names, rows);
+}
+
+TEST(CounterLedger, HasOneRowPerRegistryEntryAndCorpusDocument) {
+  expect_one_row_per_document("counters.json");
 }
 
 TEST(CounterLedger, EveryRowMatchesAtFourVerifyThreads) { expect_ledger_rows(4, {}); }
@@ -132,6 +219,14 @@ TEST(CounterLedger, EveryRowMatchesAtFourVerifyThreads) { expect_ledger_rows(4, 
 TEST(CounterLedger, EveryRowMatchesAtOneVerifyThread) {
   expect_ledger_rows(1, {"edge-dwell-safe-n3"});
 }
+
+TEST(SampleLedger, HasOneRowPerRegistryEntryAndCorpusDocument) {
+  expect_one_row_per_document("samples.json");
+}
+
+TEST(SampleLedger, EveryRowMatchesAtOneCampaignThread) { expect_sample_rows(1); }
+
+TEST(SampleLedger, EveryRowMatchesAtFourCampaignThreads) { expect_sample_rows(4); }
 
 }  // namespace
 }  // namespace ptecps::api
