@@ -1,10 +1,10 @@
 // Zone-engine microbenchmarks: the packed-DBM primitives the verifier's
 // hot path is made of — up/constrain/reset (successor construction),
-// subset_of (antichain scans), extrapolate/widen (store admission),
-// intersect (full Floyd–Warshall close), copy (pool recycling) — plus
-// the passed-list insert path itself (signature-pruned antichain with
-// subsumption eviction, the same algorithm checker.cpp runs per stored
-// state).
+// subset_of (antichain scans), the widened copy and extrapolate (store
+// admission), intersect (full Floyd–Warshall close), copy (pool
+// recycling) — plus the passed-list insert path itself (signature-pruned
+// antichain with subsumption eviction, the same algorithm checker.cpp
+// runs per stored state, storing the fused widen_sum kernel's copy).
 //
 // Each row reports ops/s and allocs/op from a whole-binary operator-new
 // counter: the zone free list should hold allocs/op at ~0 for every
@@ -116,9 +116,9 @@ int main(int argc, char** argv) {
       scratch = samples[i & 255];
       scratch.reset(1 + (i % clocks));
     }));
-    rows.push_back(bench("widen (no close)", iters, true, [&](std::size_t i) {
-      scratch = samples[i & 255];
-      scratch.widen(48.0);
+    Zone::SigPair sigs;
+    rows.push_back(bench("widened copy + signatures", iters, true, [&](std::size_t i) {
+      scratch = samples[i & 255].widened(48.0, sigs);
     }));
     rows.push_back(bench("extrapolate (widen + close)", iters / 4, true, [&](std::size_t i) {
       scratch = samples[i & 255];
@@ -145,35 +145,37 @@ int main(int argc, char** argv) {
   {
     struct Entry {
       std::int64_t sig;
-      Zone z;
+      std::int64_t lower_sig;
+      Zone widened;
     };
     std::vector<Entry> chain;
     sim::Rng insert_rng(7);
     rows.push_back(bench("passed-list insert", iters / 8, false, [&](std::size_t) {
-      Zone z = random_zone(clocks, insert_rng);
-      const std::int64_t raw_sig = z.signature();
+      const Zone z = random_zone(clocks, insert_rng);
+      const Zone::SigPair raw = z.signatures();
       auto ge = std::lower_bound(
-          chain.begin(), chain.end(), raw_sig,
+          chain.begin(), chain.end(), raw.sig,
           [](const Entry& e, std::int64_t s) { return e.sig < s; });
       for (auto it = ge; it != chain.end(); ++it) {
-        if (z.subset_of(it->z)) return;  // subsumed: dropped
+        if (raw.lower > it->lower_sig) continue;
+        if (z.subset_of(it->widened)) return;  // subsumed: dropped
       }
-      z.widen(48.0);
-      const std::int64_t sig = z.signature();
-      auto le = std::upper_bound(chain.begin(), chain.end(), sig,
+      Zone::SigPair wsig;
+      Zone widened = z.widened(48.0, wsig);
+      auto le = std::upper_bound(chain.begin(), chain.end(), wsig.sig,
                                  [](std::int64_t s, const Entry& e) { return s < e.sig; });
       auto keep = chain.begin();
       for (auto it = chain.begin(); it != le; ++it) {
-        if (it->z.subset_of(z)) continue;  // evicted
+        if (it->lower_sig <= wsig.lower && it->widened.subset_of(widened)) continue;  // evicted
         if (keep != it) *keep = std::move(*it);
         ++keep;
       }
       if (keep != le) chain.erase(std::move(le, chain.end(), keep), chain.end());
-      chain.insert(std::upper_bound(chain.begin(), chain.end(), sig,
+      chain.insert(std::upper_bound(chain.begin(), chain.end(), wsig.sig,
                                     [](std::int64_t s, const Entry& e) {
                                       return s < e.sig;
                                     }),
-                   Entry{sig, std::move(z)});
+                   Entry{wsig.sig, wsig.lower, std::move(widened)});
       if (chain.size() > 512) chain.clear();  // bound the store, like a fresh key
     }));
   }
@@ -224,6 +226,10 @@ int main(int argc, char** argv) {
     });
     compare("signature (shift_sum)", iters, [&](std::size_t i) {
       ksig = samples[i & 255].signature();
+    });
+    Zone::SigPair ksigs;
+    compare("widened copy (widen_sum)", iters, [&](std::size_t i) {
+      scratch = samples[i & 255].widened(48.0, ksigs);
     });
     (void)ksink;
     (void)ksig;

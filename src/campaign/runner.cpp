@@ -136,13 +136,7 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
     try {
       const verify::VerifyInput input = spec.verify_input();
       const verify::CompiledModel model = verify::compile_model(input);
-      verify::VerifyOptions vopt;
-      vopt.max_losses = spec.verify.max_losses;
-      vopt.max_injections = spec.verify.max_injections;
-      vopt.max_input_changes = spec.verify.max_input_changes;
-      vopt.max_states = spec.verify.max_states;
-      vopt.threads = spec.verify.threads;
-      const verify::VerifyResult vr = verify::verify_pte(model, vopt);
+      const verify::VerifyResult vr = verify::verify_pte(model, spec.verify.options());
       vo.status = vr.status;
       vo.states_explored = vr.states_explored;
       vo.states_stored = vr.states_stored;

@@ -9,6 +9,16 @@
 
 namespace ptecps::campaign {
 
+verify::VerifyOptions VerifySpec::options() const {
+  verify::VerifyOptions out;
+  out.max_losses = max_losses;
+  out.max_injections = max_injections;
+  out.max_input_changes = max_input_changes;
+  out.max_states = max_states;
+  out.threads = threads;
+  return out;
+}
+
 ScenarioSpec& ScenarioSpec::seed_range(std::uint64_t base, std::size_t count) {
   seeds.clear();
   for (std::size_t i = 0; i < count; ++i) seeds.push_back(base + i);

@@ -21,6 +21,7 @@
 #include "net/channel.hpp"
 #include "net/star_network.hpp"
 #include "sim/random.hpp"
+#include "verify/checker.hpp"
 #include "verify/model.hpp"
 
 namespace ptecps::campaign {
@@ -61,6 +62,10 @@ struct VerifySpec {
   /// Replay a found counterexample through hybrid::Engine + PteMonitor
   /// and record whether it reproduced.
   bool replay = true;
+
+  /// The checker options this spec asks for: its adversary budgets,
+  /// state budget and thread count (POR and subsumption stay on).
+  verify::VerifyOptions options() const;
 
   bool operator==(const VerifySpec&) const = default;
 };

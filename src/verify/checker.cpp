@@ -5,7 +5,6 @@
 #include <bit>
 #include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <limits>
@@ -208,7 +207,9 @@ struct TraceRec {
   }
 };
 
-struct Step {
+/// A step's fixed-size fields: all a stored node keeps of its incoming
+/// step inline (its ops, sends and trace go to the shard's StepLog).
+struct StepInfo {
   enum class Kind : std::uint8_t {
     kInit,
     kTimed,
@@ -223,6 +224,9 @@ struct Step {
   std::uint32_t automaton = 0;
   std::uint32_t slot = 0;  // deliver: message slot; toggle: toggle index
   hybrid::LabelId root = hybrid::kNoLabel;  // deliver / inject event root
+};
+
+struct Step : StepInfo {
   util::SmallVec<Op, 24> ops;  // invariants + guards + resets, in order
   struct Send {
     std::uint32_t slot = 0;
@@ -240,27 +244,120 @@ struct Outcome {
   Step step;
 };
 
+/// Append-only store of the stored nodes' step ops, sends and trace, one
+/// per shard.  Only concretize reads an entry back.
+struct StepLog {
+  /// Where one step's records sit: [ops, ops + n_ops) in `ops`, etc.
+  struct Range {
+    std::uint32_t ops = 0, n_ops = 0;
+    std::uint32_t sends = 0, n_sends = 0;
+    std::uint32_t trace = 0, n_trace = 0;
+  };
+  std::vector<Op> ops;
+  std::vector<Step::Send> sends;
+  std::vector<TraceRec> trace;
+
+  Range append(const Step& s) {
+    PTE_CHECK(ops.size() + s.ops.size() <= UINT32_MAX &&
+                  sends.size() + s.sends.size() <= UINT32_MAX &&
+                  trace.size() + s.trace.size() <= UINT32_MAX,
+              "verify: step log outgrew 32-bit offsets");
+    const Range r{static_cast<std::uint32_t>(ops.size()),
+                  static_cast<std::uint32_t>(s.ops.size()),
+                  static_cast<std::uint32_t>(sends.size()),
+                  static_cast<std::uint32_t>(s.sends.size()),
+                  static_cast<std::uint32_t>(trace.size()),
+                  static_cast<std::uint32_t>(s.trace.size())};
+    ops.insert(ops.end(), s.ops.begin(), s.ops.end());
+    sends.insert(sends.end(), s.sends.begin(), s.sends.end());
+    trace.insert(trace.end(), s.trace.begin(), s.trace.end());
+    return r;
+  }
+
+  Step read(const StepInfo& info, const Range& r) const {
+    Step s;
+    static_cast<StepInfo&>(s) = info;
+    for (std::uint32_t i = 0; i < r.n_ops; ++i) s.ops.push_back(ops[r.ops + i]);
+    for (std::uint32_t i = 0; i < r.n_sends; ++i) s.sends.push_back(sends[r.sends + i]);
+    for (std::uint32_t i = 0; i < r.n_trace; ++i) s.trace.push_back(trace[r.trace + i]);
+    return s;
+  }
+};
+
+struct Node;
+
+/// A successor in its producer's per-target-shard buffer, built there in
+/// place by emit and read there in place by absorb.
+struct Pending {
+  Outcome o;  // exact zone, POR frees applied
+  DKey key;
+  Zone::SigPair raw;  // o.z's signatures (subsumption store only)
+  const Node* parent = nullptr;
+  std::uint64_t parent_rank = 0;
+  std::uint32_t ordinal = 0;
+
+  Pending(Outcome&& o_, DKey key_, const Node* parent_, std::uint64_t parent_rank_,
+          std::uint32_t ordinal_)
+      : o(std::move(o_)),
+        key(key_),
+        parent(parent_),
+        parent_rank(parent_rank_),
+        ordinal(ordinal_) {}
+};
+
 /// One stored search state.  `prank`/`ordinal` form the canonical
 /// successor key (parent's global rank, branch ordinal within the
 /// parent's deterministic expansion) that orders every store mutation —
 /// the whole reason results are bit-identical across thread counts.
 struct Node {
   DState d;
-  Zone z;  // settled, extrapolated
-  Step step;
+  Zone z;  // settled: exact, or extrapolated by the exact-equality store
   const Node* parent = nullptr;
   std::uint64_t prank = 0;
-  std::uint32_t ordinal = 0;
   std::uint64_t rank = 0;  // global canonical rank within its round
-  bool stale = false;      // evicted by a subsuming zone before expansion
+  StepInfo step;           // the incoming step; the rest is in the shard's log
+  StepLog::Range log;
+  std::uint32_t ordinal = 0;
+  std::uint32_t shard = 0;  // whose StepLog holds `log`
+  bool stale = false;       // evicted by a subsuming zone before expansion
 
-  Node(Outcome&& o, const Node* parent_, std::uint64_t prank_, std::uint32_t ordinal_)
-      : d(std::move(o.d)),
-        z(std::move(o.z)),
-        step(std::move(o.step)),
-        parent(parent_),
-        prank(prank_),
-        ordinal(ordinal_) {}
+  Node(Pending&& p, StepLog::Range log_, std::uint32_t shard_)
+      : d(std::move(p.o.d)),
+        z(std::move(p.o.z)),
+        parent(p.parent),
+        prank(p.parent_rank),
+        step(p.o.step),
+        log(log_),
+        ordinal(p.ordinal),
+        shard(shard_) {}
+
+  /// Reached by a pure input write: it settled without firing an edge,
+  /// constraining the zone, or sending (see the POR sleep set).
+  bool reached_by_pure_toggle() const {
+    return step.kind == StepInfo::Kind::kToggle && log.n_ops == 0 && log.n_sends == 0 &&
+           log.n_trace == 1;
+  }
+};
+
+/// Pointer-stable node storage: nodes are built in place in chunks that
+/// never reallocate (parents and antichain entries point at them), so
+/// storing a node costs no allocation of its own.  Chunks double from 64
+/// to 4096 nodes, so a small proof reserves little.
+class NodeArena {
+ public:
+  Node* emplace(Pending&& p, StepLog::Range log, std::uint32_t shard) {
+    if (chunks_.empty() || chunks_.back().size() == chunks_.back().capacity()) {
+      chunks_.emplace_back();
+      chunks_.back().reserve(std::clamp<std::size_t>(size_, 64, 4096));
+    }
+    ++size_;
+    return &chunks_.back().emplace_back(std::move(p), log, shard);
+  }
+  std::size_t size() const { return size_; }
+
+ private:
+  std::vector<std::vector<Node>> chunks_;
+  std::size_t size_ = 0;
 };
 
 /// Thrown when a violation is reachable; unwinds one node's expansion.
@@ -278,18 +375,19 @@ struct RoundViolation {
   std::uint64_t rank = 0;        // parent's rank — canonical tie-break
 };
 
-struct Pending {
-  Outcome o;  // z extrapolated
-  DKey key;
-  const Node* parent = nullptr;
+/// A pending successor's canonical key and where it sits: absorb sorts
+/// these, not the (fat) pendings, and reads each pending in place.
+struct PendingRef {
   std::uint64_t parent_rank = 0;
   std::uint32_t ordinal = 0;
-};
+  std::uint32_t producer = 0;  // expander index
+  std::uint32_t index = 0;     // into that expander's buffer for this shard
 
-bool pending_before(const Pending& a, const Pending& b) {
-  if (a.parent_rank != b.parent_rank) return a.parent_rank < b.parent_rank;
-  return a.ordinal < b.ordinal;
-}
+  bool operator<(const PendingRef& o) const {
+    if (parent_rank != o.parent_rank) return parent_rank < o.parent_rank;
+    return ordinal < o.ordinal;
+  }
+};
 
 // -- worker gang ------------------------------------------------------------
 // Persistent threads with a broadcast-and-join barrier; the checker runs
@@ -384,7 +482,7 @@ class Expander {
     parent_ = n;
     parent_rank_ = n->rank;
     ordinal_ = 0;
-    process(n->d, n->z, &n->step);
+    process(*n);
   }
 
   /// Seed the search: Engine::init() mirrored symbolically.
@@ -400,17 +498,16 @@ class Expander {
   // Extrapolation happens on the consumer side, and only for zones that
   // survive the subsumption drop — dropping is sound on the exact zone
   // (it is tighter than its extrapolation, so it catches strictly more).
-  void emit(Outcome o) {
+  // The pending is built in place in the target shard's buffer, and the
+  // drop test's signatures are taken while its matrix is still in cache.
+  void emit(Outcome&& o) {
     if (o.z.is_empty()) return;
     if (opt_.por) apply_por_frees(o);
     ++transitions_;
-    Pending p;
-    p.key = o.d.key();
-    p.parent = parent_;
-    p.parent_rank = parent_rank_;
-    p.ordinal = ordinal_++;
-    p.o = std::move(o);
-    out_[p.key.h1 % shards_].push_back(std::move(p));
+    const DKey key = o.d.key();
+    Pending& p =
+        out_[key.h1 % shards_].emplace_back(std::move(o), key, parent_, parent_rank_, ordinal_++);
+    if (opt_.subsumption) p.raw = p.o.z.signatures();
   }
 
   /// Activity-based clock relaxation — the exact half of the partial-
@@ -649,6 +746,10 @@ class Expander {
         entity_exit_risky(o, entity);
     }
 
+    if (e.emits.empty()) {
+      settle_sym(std::move(o), a, depth + 1, done);
+      return;
+    }
     std::vector<Outcome> cur;
     cur.push_back(std::move(o));
     for (const CompiledEdge::Emit& emit : e.emits) {
@@ -792,10 +893,10 @@ class Expander {
     for (Outcome& oc : cur) emit(std::move(oc));
   }
 
-  void process(const DState& d, const Zone& z, const Step* incoming) {
+  void process(const Node& n) {
     Outcome base;
-    base.d = d;
-    base.z = z;
+    base.d = n.d;
+    base.z = n.z;
     base.z.up();
     apply_invariants(base);
     if (base.z.is_empty()) return;
@@ -915,9 +1016,7 @@ class Expander {
       // pure after ti.  Every {ti, tj} endpoint is reached through its
       // ascending order, so only that order is explored.
       std::size_t sleep_toggle = kNone;
-      if (opt_.por && incoming != nullptr && incoming->kind == Step::Kind::kToggle &&
-          incoming->ops.empty() && incoming->sends.empty() && incoming->trace.size() == 1)
-        sleep_toggle = incoming->slot;
+      if (opt_.por && n.reached_by_pure_toggle()) sleep_toggle = n.step.slot;
       for (std::size_t ti = 0; ti < m_.toggles.size(); ++ti) {
         const CompiledModel::CompiledToggle& tg = m_.toggles[ti];
         if (base.d.input_val[tg.input] == tg.value_index) continue;
@@ -980,120 +1079,103 @@ class Checker {
     Node* node = nullptr;
   };
 
-  /// Per-worker shard: nodes whose discrete hash maps here, their
-  /// antichain passed/waiting store, and the current/next round lists.
-  /// Padded so neighboring shards' hot counters don't share cache lines.
+  /// Per-worker shard: nodes whose discrete hash maps here, their steps'
+  /// records, their antichain passed/waiting store, and the current/next
+  /// round lists.  Padded so neighboring shards' hot counters don't share
+  /// cache lines.
   struct alignas(64) Shard {
-    std::deque<Node> nodes;
+    NodeArena nodes;
+    StepLog log;
     std::unordered_map<DKey, std::vector<AEntry>, DKeyHash> visited;
     std::vector<Node*> round;  // ascending rank
     std::vector<Node*> next;   // ascending (prank, ordinal)
-    std::vector<Pending> inbox;
+    std::vector<PendingRef> refs;  // absorb's canonical order, reused
     std::vector<RoundViolation> violations;
     std::exception_ptr error;
     std::uint64_t explored = 0;
   };
 
-  /// Absorb phase for shard `w`: gather every producer's pendings
-  /// targeted here, order them canonically, then run the subsumption
-  /// store.  The canonical sort is what makes the store's mutation
-  /// sequence — and with it the whole search — independent of thread
-  /// interleaving AND of the shard count (all states of one discrete
-  /// key land in the same shard, in the same relative order).
+  /// Absorb phase for shard `w`: order every producer's pendings targeted
+  /// here canonically, then run each through the store, reading it in
+  /// place in its producer's buffer.  The canonical sort is what makes
+  /// the store's mutation sequence — and with it the whole search —
+  /// independent of thread interleaving AND of the shard count (all
+  /// states of one discrete key land in the same shard, in the same
+  /// relative order).
   void absorb(std::size_t w, std::vector<Expander>& expanders) {
     Shard& shard = shards_[w];
-    shard.inbox.clear();
-    for (Expander& e : expanders) {
-      auto& produced = e.out()[w];
-      for (Pending& p : produced) shard.inbox.push_back(std::move(p));
-      produced.clear();
+    shard.refs.clear();
+    for (std::uint32_t producer = 0; producer < expanders.size(); ++producer) {
+      const std::vector<Pending>& produced = expanders[producer].out()[w];
+      for (std::uint32_t i = 0; i < produced.size(); ++i)
+        shard.refs.push_back(
+            PendingRef{produced[i].parent_rank, produced[i].ordinal, producer, i});
     }
-    // Sort an index permutation, not the (fat) pendings themselves.
-    std::vector<std::uint32_t> order(shard.inbox.size());
-    for (std::uint32_t i = 0; i < order.size(); ++i) order[i] = i;
-    std::sort(order.begin(), order.end(), [&shard](std::uint32_t a, std::uint32_t b) {
-      return pending_before(shard.inbox[a], shard.inbox[b]);
-    });
-    for (std::uint32_t idx : order) {
-      Pending& p = shard.inbox[idx];
-      auto& chain = shard.visited[p.key];
-      if (opt_.subsumption) {
-        // Drop test on the exact zone against the stored widened
-        // matrices: only chain entries with sig >= the probe's can
-        // contain it.  (Exact ⊆ widened is the same predicate as
-        // extrapolated ⊆ extrapolated would be, and catches more.)
-        const Zone::SigPair raw = p.o.z.signatures();
-        const std::int64_t raw_sig = raw.sig;
-        const std::int64_t raw_lower = raw.lower;
-        auto ge = std::lower_bound(
-            chain.begin(), chain.end(), raw_sig,
-            [](const AEntry& e, std::int64_t s) { return e.sig < s; });
-        bool subsumed = false;
-        for (auto it = ge; it != chain.end(); ++it) {
-          if (raw_lower > it->lower_sig) continue;
-          if (p.o.z.subset_of(it->widened)) {
-            subsumed = true;
-            break;
-          }
-        }
-        if (subsumed) continue;
-        Zone widened = p.o.z;
-        widened.widen(m_.max_constant);
-        const Zone::SigPair wsig = widened.signatures();
-        const std::int64_t sig = wsig.sig;
-        const std::int64_t lower = wsig.lower;
-        // The new zone may subsume visited ones (only sig <= candidates;
-        // entrywise widened <= widened is sufficient for set inclusion):
-        // evict them, and mark still-unexpanded victims stale so the
-        // expand phase skips them.
-        auto le = std::upper_bound(
-            chain.begin(), chain.end(), sig,
-            [](std::int64_t s, const AEntry& e) { return s < e.sig; });
-        auto keep = chain.begin();
-        for (auto it = chain.begin(); it != le; ++it) {
-          if (it->lower_sig <= lower && it->widened.subset_of(widened)) {
-            it->node->stale = true;
-            it->node->z = Zone(0);  // retire the unexpanded zone's matrix
-            continue;
-          }
-          if (keep != it) *keep = std::move(*it);
-          ++keep;
-        }
-        if (keep != le) {
-          chain.erase(std::move(le, chain.end(), keep), chain.end());
-        }
-        shard.nodes.emplace_back(std::move(p.o), p.parent, p.parent_rank, p.ordinal);
-        Node* node = &shard.nodes.back();
-        chain.insert(std::upper_bound(chain.begin(), chain.end(), sig,
-                                      [](std::int64_t s, const AEntry& e) {
-                                        return s < e.sig;
-                                      }),
-                     AEntry{sig, lower, std::move(widened), node});
-        shard.next.push_back(node);
-      } else {
-        // Exact-equality store (the cross-check oracle): no antichain,
-        // just extrapolated-zone deduplication.  Equal zones have equal
-        // signatures, so only that range is scanned.
-        p.o.z.extrapolate(m_.max_constant);
-        const std::int64_t sig = p.o.z.signature();
-        auto ge = std::lower_bound(
-            chain.begin(), chain.end(), sig,
-            [](const AEntry& e, std::int64_t s) { return e.sig < s; });
-        bool duplicate = false;
-        for (auto it = ge; it != chain.end() && it->sig == sig; ++it) {
-          if (it->node->z == p.o.z) {
-            duplicate = true;
-            break;
-          }
-        }
-        if (duplicate) continue;
-        shard.nodes.emplace_back(std::move(p.o), p.parent, p.parent_rank, p.ordinal);
-        Node* node = &shard.nodes.back();
-        chain.insert(ge, AEntry{sig, 0, Zone(0), node});
-        shard.next.push_back(node);
+    std::sort(shard.refs.begin(), shard.refs.end());
+    for (const PendingRef& ref : shard.refs) store(w, expanders[ref.producer].out()[w][ref.index]);
+    for (Expander& e : expanders) e.out()[w].clear();
+  }
+
+  /// Run one pending through shard `w`'s store; if it is kept, build its
+  /// node straight from it.
+  void store(std::size_t w, Pending& p) {
+    Shard& shard = shards_[w];
+    auto& chain = shard.visited[p.key];
+    const auto keep_node = [&] {
+      const StepLog::Range range = shard.log.append(p.o.step);
+      Node* node = shard.nodes.emplace(std::move(p), range, static_cast<std::uint32_t>(w));
+      shard.next.push_back(node);
+      return node;
+    };
+    if (opt_.subsumption) {
+      // Drop test on the exact zone against the stored widened matrices:
+      // only chain entries with sig >= the probe's can contain it.
+      // (Exact ⊆ widened is the same predicate as extrapolated ⊆
+      // extrapolated would be, and catches more.)
+      auto ge = std::lower_bound(chain.begin(), chain.end(), p.raw.sig,
+                                 [](const AEntry& e, std::int64_t s) { return e.sig < s; });
+      for (auto it = ge; it != chain.end(); ++it) {
+        if (p.raw.lower > it->lower_sig) continue;
+        if (p.o.z.subset_of(it->widened)) return;
       }
+      Zone::SigPair wsig;
+      Zone widened = p.o.z.widened(m_.max_constant, wsig);
+      const std::int64_t sig = wsig.sig;
+      const std::int64_t lower = wsig.lower;
+      // The new zone may subsume visited ones (only sig <= candidates;
+      // entrywise widened <= widened is sufficient for set inclusion):
+      // evict them, and mark still-unexpanded victims stale so the expand
+      // phase skips them.
+      auto le = std::upper_bound(chain.begin(), chain.end(), sig,
+                                 [](std::int64_t s, const AEntry& e) { return s < e.sig; });
+      auto keep = chain.begin();
+      for (auto it = chain.begin(); it != le; ++it) {
+        if (it->lower_sig <= lower && it->widened.subset_of(widened)) {
+          it->node->stale = true;
+          it->node->z = Zone(0);  // retire the unexpanded zone's matrix
+          continue;
+        }
+        if (keep != it) *keep = std::move(*it);
+        ++keep;
+      }
+      if (keep != le) chain.erase(std::move(le, chain.end(), keep), chain.end());
+      Node* node = keep_node();
+      chain.insert(std::upper_bound(chain.begin(), chain.end(), sig,
+                                    [](std::int64_t s, const AEntry& e) { return s < e.sig; }),
+                   AEntry{sig, lower, std::move(widened), node});
+    } else {
+      // Exact-equality store (the cross-check oracle): no antichain, just
+      // extrapolated-zone deduplication.  Equal zones have equal
+      // signatures, so only that range is scanned.
+      p.o.z.extrapolate(m_.max_constant);
+      const std::int64_t sig = p.o.z.signature();
+      auto ge = std::lower_bound(chain.begin(), chain.end(), sig,
+                                 [](const AEntry& e, std::int64_t s) { return e.sig < s; });
+      for (auto it = ge; it != chain.end() && it->sig == sig; ++it)
+        if (it->node->z == p.o.z) return;
+      Node* node = keep_node();
+      chain.insert(ge, AEntry{sig, 0, Zone(0), node});
     }
-    shard.inbox.clear();
   }
 
   /// Gang::run's fn must not throw — capture store failures (e.g.
@@ -1296,14 +1378,11 @@ VerifyResult Checker::run() {
 Counterexample Checker::concretize(const RoundViolation& rv) {
   const FoundViolation& v = rv.v;
   // 1. The abstract path: root .. rv.parent, then the violating step.
-  std::vector<const Step*> steps;
-  {
-    std::vector<const Node*> chain;
-    for (const Node* n = rv.parent; n != nullptr; n = n->parent) chain.push_back(n);
-    std::reverse(chain.begin(), chain.end());
-    for (const Node* n : chain) steps.push_back(&n->step);
-    steps.push_back(&v.step);
-  }
+  std::vector<Step> steps;
+  for (const Node* n = rv.parent; n != nullptr; n = n->parent)
+    steps.push_back(shards_[n->shard].log.read(n->step, n->log));
+  std::reverse(steps.begin(), steps.end());
+  steps.push_back(v.step);
   const std::size_t k = steps.size();
 
   // 2. Exact forward zones (no extrapolation): Z_0 = init-step ops on the
@@ -1319,11 +1398,11 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   };
   std::vector<Zone> forward;
   forward.reserve(k);
-  forward.push_back(apply_ops(Zone(m_.clocks.count), *steps[0]));
+  forward.push_back(apply_ops(Zone(m_.clocks.count), steps[0]));
   for (std::size_t i = 1; i < k; ++i) {
     Zone z = forward[i - 1];
     z.up();
-    forward.push_back(apply_ops(std::move(z), *steps[i]));
+    forward.push_back(apply_ops(std::move(z), steps[i]));
   }
   PTE_CHECK(!forward.back().is_empty(),
             "verify: abstract counterexample path is infeasible without extrapolation");
@@ -1334,7 +1413,7 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   Zone b = forward[k - 1];
   for (std::size_t i = k; i-- > 1;) {
     Zone p = b;
-    const Step& s = *steps[i];
+    const Step& s = steps[i];
     for (std::size_t oi = s.ops.size(); oi-- > 0;) {
       const Op& op = s.ops[oi];
       if (op.kind == Op::Kind::kReset)
@@ -1360,7 +1439,7 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
       if (op.kind == Op::Kind::kReset) x[op.i - 1] = 0.0;
     }
   };
-  run_ops(*steps[0]);
+  run_ops(steps[0]);
   for (std::size_t i = 1; i < k; ++i) {
     double lo = 0.0, hi = std::numeric_limits<double>::infinity();
     bool lo_strict = false;
@@ -1389,7 +1468,7 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
     t += delta;
     for (double& cv : x) cv += delta;
     step_time[i] = t;
-    run_ops(*steps[i]);
+    run_ops(steps[i]);
   }
 
   // 5. Assemble the counterexample script.
@@ -1403,7 +1482,7 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   auto root_of = [this](hybrid::LabelId label) { return m_.labels.root_of(label); };
   std::vector<std::size_t> slot_send(m_.max_in_flight, kNone);
   for (std::size_t i = 0; i < k; ++i) {
-    const Step& s = *steps[i];
+    const Step& s = steps[i];
     const double st = step_time[i];
     if (s.kind == Step::Kind::kInject && s.consumed)
       cx.injections.push_back(CounterexampleInjection{st, s.automaton, root_of(s.root)});

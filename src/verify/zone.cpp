@@ -104,6 +104,8 @@ Zone::Zone(std::size_t clocks)
   std::fill(dbm_, dbm_ + static_cast<std::size_t>(n_) * n_, kPackedLe0);
 }
 
+Zone::Zone(std::uint32_t dim, Uninitialized) : dbm_(pool_get(dim)), n_(dim) {}
+
 Zone::Zone(const Zone& other)
     : dbm_(pool_get(other.n_)), n_(other.n_), empty_(other.empty_) {
   std::memcpy(dbm_, other.dbm_, sizeof(PackedBound) * n_ * n_);
@@ -238,38 +240,12 @@ void Zone::free(std::size_t i) {
   m(0, i) = kPackedLe0;
 }
 
-namespace {
-/// Shared widening loop of extrapolate()/widen().
-bool widen_entries(PackedBound* d, std::size_t n, double k) {
-  const PackedBound upper = packed_le(k);   // widen anything above to inf
-  const PackedBound lower = packed_lt(-k);  // floor for lower bounds
-  bool changed = false;
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) {
-      if (i == j) continue;
-      PackedBound& b = d[i * n + j];
-      if (packed_is_inf(b)) continue;
-      if (b > upper) {
-        b = kPackedInf;
-        changed = true;
-      } else if (b < lower) {
-        b = lower;
-        changed = true;
-      }
-    }
-  }
-  return changed;
-}
-}  // namespace
-
 void Zone::extrapolate(double k) {
+  PTE_REQUIRE(k >= 0.0, "widening constant must be non-negative");
   if (empty_) return;
-  if (widen_entries(dbm_, n_, k)) close();
-}
-
-void Zone::widen(double k) {
-  if (empty_) return;
-  widen_entries(dbm_, n_, k);
+  const WidenSums w =
+      active_zone_kernels().widen_sum(dbm_, dbm_, n_, packed_le(k), packed_lt(-k));
+  if (w.changed) close();
 }
 
 bool Zone::subset_of(const Zone& other) const {
@@ -381,6 +357,16 @@ Zone::SigPair Zone::signatures() const {
   p.sig = kk.shift_sum(dbm_, total, 16);
   p.lower = kk.shift_sum(dbm_, n_, 8);
   return p;
+}
+
+Zone Zone::widened(double k, SigPair& sigs) const {
+  PTE_REQUIRE(!empty_, "cannot widen an empty zone");
+  PTE_REQUIRE(k >= 0.0, "widening constant must be non-negative");
+  Zone out(n_, Uninitialized{});
+  const WidenSums w =
+      active_zone_kernels().widen_sum(out.dbm_, dbm_, n_, packed_le(k), packed_lt(-k));
+  sigs = SigPair{w.sig, w.lower};
+  return out;
 }
 
 bool Zone::operator==(const Zone& other) const {

@@ -92,6 +92,11 @@ inline PackedBound packed_add(PackedBound a, PackedBound b) {
   const PackedBound s = a + b - ((a | b) & 1);
   return s >= kPackedInfClamp ? kPackedInf : s;
 }
+/// One entry of k-widening: above `upper` (packed_le(k)) goes to
+/// infinity, below `lower` (packed_lt(-k)) is raised to `lower`.
+inline PackedBound packed_widen(PackedBound w, PackedBound upper, PackedBound lower) {
+  return w > upper ? kPackedInf : (w < lower ? lower : w);
+}
 
 class Zone {
  public:
@@ -131,22 +136,12 @@ class Zone {
   /// reset).
   void free(std::size_t i);
 
-  /// k-extrapolation: bounds beyond ±k are widened to infinity / -k.
+  /// k-extrapolation (k >= 0): bounds beyond ±k are widened to
+  /// infinity / -k, then the matrix is re-closed if anything changed.
   /// Sound for reachability when k is at least the largest constant any
   /// guard or invariant compares against; guarantees a finite zone
   /// lattice and hence termination of the search.
   void extrapolate(double k);
-
-  /// The widening half of k-extrapolation without re-canonicalization
-  /// (no Floyd–Warshall).  The matrix represents exactly the same set as
-  /// extrapolate(k)'s — closure never changes the solution set — but its
-  /// entries are no longer pairwise-shortest, so the result is only
-  /// valid as the right-hand side of inclusion tests (`probe ⊆ this`
-  /// holds iff the canonical probe is entrywise <=, for ANY
-  /// representation of `this`) and as the left-hand side of the
-  /// sufficient entrywise test subset_of().  Do not run zone operations
-  /// on a widened matrix.
-  void widen(double k);
 
   /// this ⊆ other (both canonical, same clock count).
   bool subset_of(const Zone& other) const;
@@ -182,6 +177,19 @@ class Zone {
   };
   SigPair signatures() const;
 
+  /// The widening half of k-extrapolation without re-canonicalization
+  /// (no Floyd–Warshall), as a new matrix, with that matrix's
+  /// signatures() in `sigs` — copy, widening and sums are one pass of
+  /// the active kernel table's widen_sum.  The matrix represents exactly
+  /// the same set as extrapolate(k)'s — closure never changes the
+  /// solution set — but its entries are no longer pairwise-shortest, so
+  /// the result is only valid as the right-hand side of inclusion tests
+  /// (`probe ⊆ widened` holds iff the canonical probe is entrywise <=,
+  /// for ANY representation of the set) and as the left-hand side of the
+  /// sufficient entrywise test subset_of().  Do not run zone operations
+  /// on a widened matrix.  Requires a non-empty zone and k >= 0.
+  Zone widened(double k, SigPair& sigs) const;
+
   std::string str(const std::vector<std::string>& clock_names) const;
 
   /// Free-list statistics for the calling thread (bench_zone_ops):
@@ -193,6 +201,10 @@ class Zone {
   static PoolStats pool_stats();
 
  private:
+  struct Uninitialized {};
+  /// A matrix from the pool for `dim`, entries left for the caller.
+  Zone(std::uint32_t dim, Uninitialized);
+
   PackedBound& m(std::size_t i, std::size_t j) { return dbm_[i * n_ + j]; }
   const PackedBound& m(std::size_t i, std::size_t j) const { return dbm_[i * n_ + j]; }
   void close();

@@ -36,6 +36,20 @@ std::int64_t scalar_shift_sum(const std::int64_t* d, std::size_t total, int shif
   return sum;
 }
 
+WidenSums scalar_widen_sum(std::int64_t* dst, const std::int64_t* src, std::size_t n,
+                           std::int64_t upper, std::int64_t lower) {
+  WidenSums out;
+  const std::size_t total = n * n;
+  for (std::size_t idx = 0; idx < total; ++idx) {
+    const PackedBound w = packed_widen(src[idx], upper, lower);
+    out.changed |= w != src[idx];
+    dst[idx] = w;
+    out.sig += w >> 16;
+  }
+  for (std::size_t j = 0; j < n; ++j) out.lower += dst[j] >> 8;
+  return out;
+}
+
 bool simd_disabled_by_env() {
   const char* v = std::getenv("PTE_DISABLE_SIMD");
   return v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
@@ -54,7 +68,7 @@ std::atomic<const ZoneKernels*> g_active{nullptr};
 
 const ZoneKernels& scalar_zone_kernels() {
   static const ZoneKernels table{"scalar", scalar_min_plus_row, scalar_leq_all,
-                                 scalar_min_inplace, scalar_shift_sum};
+                                 scalar_min_inplace, scalar_shift_sum, scalar_widen_sum};
   return table;
 }
 

@@ -1,9 +1,10 @@
 // Dispatchable inner-loop kernels for the packed-DBM zone engine.
 //
-// The four loops that dominate the verifier's profile — the shortest-path
+// The five loops that dominate the verifier's profile — the shortest-path
 // closure's min-plus row update, the entrywise inclusion scan, entrywise
-// min (intersection), and the inclusion-signature sums — all stream over
-// contiguous int64 words with no branches on the data.  This header
+// min (intersection), the inclusion-signature sums, and the store's
+// widened copy — all stream over contiguous int64 words with no branches
+// on the data.  This header
 // exposes them as a function-pointer table with two implementations:
 //
 //   * scalar — portable C++, the reference semantics;
@@ -24,6 +25,13 @@
 #include <cstdint>
 
 namespace ptecps::verify {
+
+/// What ZoneKernels::widen_sum reports about the matrix it wrote.
+struct WidenSums {
+  std::int64_t sig = 0;    // sum of entry >> 16 over the whole matrix
+  std::int64_t lower = 0;  // sum of entry >> 8 over row 0
+  bool changed = false;    // some entry differs from the source
+};
 
 struct ZoneKernels {
   const char* name = "?";
@@ -48,6 +56,16 @@ struct ZoneKernels {
   /// signatures (shift 16 for the full matrix, 8 for row 0).
   std::int64_t (*shift_sum)(const std::int64_t* d, std::size_t total,
                             int shift) = nullptr;
+
+  /// dst = src k-widened, for the n x n matrix src: every entry above
+  /// `upper` becomes kPackedInf and every entry below `lower` becomes
+  /// `lower`.  Returns dst's two inclusion signatures (the shift_sum
+  /// values of the whole matrix at 16 and of row 0 at 8) and whether any
+  /// entry changed, all from the same single pass.  Every diagonal entry
+  /// must lie in [lower, upper], as packed_le(0) does for k >= 0, so the
+  /// diagonal passes through unchanged.  dst == src is allowed.
+  WidenSums (*widen_sum)(std::int64_t* dst, const std::int64_t* src, std::size_t n,
+                         std::int64_t upper, std::int64_t lower) = nullptr;
 };
 
 /// The portable reference table.

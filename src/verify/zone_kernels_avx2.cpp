@@ -84,6 +84,12 @@ inline __m256i sra_epi64(__m256i x, int shift) {
   return _mm256_or_si256(logical, sign);
 }
 
+inline std::int64_t lane_sum(__m256i v) {
+  alignas(32) std::int64_t lanes[4];
+  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), v);
+  return lanes[0] + lanes[1] + lanes[2] + lanes[3];
+}
+
 std::int64_t avx2_shift_sum(const std::int64_t* d, std::size_t total, int shift) {
   __m256i acc = _mm256_setzero_si256();
   std::size_t idx = 0;
@@ -91,18 +97,55 @@ std::int64_t avx2_shift_sum(const std::int64_t* d, std::size_t total, int shift)
     const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(d + idx));
     acc = _mm256_add_epi64(acc, sra_epi64(v, shift));
   }
-  alignas(32) std::int64_t lanes[4];
-  _mm256_store_si256(reinterpret_cast<__m256i*>(lanes), acc);
-  std::int64_t sum = lanes[0] + lanes[1] + lanes[2] + lanes[3];
+  std::int64_t sum = lane_sum(acc);
   for (; idx < total; ++idx) sum += d[idx] >> shift;
   return sum;
+}
+
+// Row 0 first, summed at both shifts; then the rest of the matrix at 16
+// only.  Each part runs 4 lanes at a time with a scalar tail.
+WidenSums avx2_widen_sum(std::int64_t* dst, const std::int64_t* src, std::size_t n,
+                         std::int64_t upper, std::int64_t lower) {
+  const __m256i up = _mm256_set1_epi64x(upper);
+  const __m256i lo = _mm256_set1_epi64x(lower);
+  const __m256i inf = _mm256_set1_epi64x(kPackedInf);
+  __m256i sig = _mm256_setzero_si256();
+  __m256i low = _mm256_setzero_si256();
+  __m256i diff = _mm256_setzero_si256();
+  WidenSums out;
+  auto widen4 = [&](std::size_t idx) {
+    const __m256i v = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(src + idx));
+    __m256i w = _mm256_blendv_epi8(v, inf, _mm256_cmpgt_epi64(v, up));
+    w = _mm256_blendv_epi8(w, lo, _mm256_cmpgt_epi64(lo, w));
+    _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst + idx), w);
+    diff = _mm256_or_si256(diff, _mm256_xor_si256(w, v));
+    sig = _mm256_add_epi64(sig, sra_epi64(w, 16));
+    return w;
+  };
+  auto widen1 = [&](std::size_t idx) {
+    const PackedBound w = packed_widen(src[idx], upper, lower);
+    out.changed |= w != src[idx];
+    dst[idx] = w;
+    out.sig += w >> 16;
+    return w;
+  };
+  std::size_t idx = 0;
+  for (; idx + 4 <= n; idx += 4) low = _mm256_add_epi64(low, sra_epi64(widen4(idx), 8));
+  for (; idx < n; ++idx) out.lower += widen1(idx) >> 8;
+  const std::size_t total = n * n;
+  for (; idx + 4 <= total; idx += 4) widen4(idx);
+  for (; idx < total; ++idx) widen1(idx);
+  out.sig += lane_sum(sig);
+  out.lower += lane_sum(low);
+  out.changed |= !_mm256_testz_si256(diff, diff);
+  return out;
 }
 
 }  // namespace
 
 const ZoneKernels* avx2_zone_kernels() {
   static const ZoneKernels table{"avx2", avx2_min_plus_row, avx2_leq_all,
-                                 avx2_min_inplace, avx2_shift_sum};
+                                 avx2_min_inplace, avx2_shift_sum, avx2_widen_sum};
   static const bool supported = __builtin_cpu_supports("avx2");
   return supported ? &table : nullptr;
 }

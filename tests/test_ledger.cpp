@@ -17,6 +17,13 @@
 // sampled stream shows.  Every row must match at 1 campaign thread and
 // again at 4.
 //
+// tests/golden/ablations.json holds two more rows per ledger document:
+// the same proof with partial-order reduction off (`por=false`) and with
+// the subsumption store replaced by exact-equality deduplication
+// (`subsumption=false`).  They record in counts what each of the two
+// buys, and pin the store paths the default search does not take.  They
+// are checked at 4 verify threads.
+//
 // A change that means to move a count pastes the row printed on the
 // mismatch into the ledger by hand, in the same diff that moves it.
 #include <gtest/gtest.h>
@@ -38,6 +45,7 @@
 #include "util/digest.hpp"
 #include "util/json.hpp"
 #include "util/text.hpp"
+#include "verify/checker.hpp"
 
 namespace ptecps::api {
 namespace {
@@ -79,6 +87,21 @@ std::string job_name(const Job& job) {
   return job.scenario.has_value() ? job.scenario->params.name : job.scenario_ref;
 }
 
+/// A proof's counts, sketch and counterexample digest, appended to `row`
+/// (`v` is a verify::VerifyResult or a campaign::VerificationOutcome).
+template <typename Proof>
+void set_counts(util::Json& row, const Proof& v) {
+  row.set("states_explored", v.states_explored);
+  row.set("states_stored", v.states_stored);
+  row.set("transitions", v.transitions);
+  row.set("sketch_distinct", v.sketch.distinct);
+  row.set("sketch_signature", hex64(v.sketch.signature()));
+  row.set("counterexample_sha256",
+          v.counterexample.has_value()
+              ? util::Json(util::Sha256::hex(v.counterexample->to_json().dump_canonical()))
+              : util::Json());
+}
+
 /// The ledger row of one cache-less proof at `verify_threads`.
 util::Json ledger_row(Job job, std::size_t verify_threads) {
   job.mode = campaign::RunMode::kVerify;
@@ -92,25 +115,51 @@ util::Json ledger_row(Job job, std::size_t verify_threads) {
     row.set("errors", util::join(result.errors, "; "));
     return row;
   }
-  const campaign::VerificationOutcome& v = *result.report->scenarios[0].verification;
-  row.set("states_explored", v.states_explored);
-  row.set("states_stored", v.states_stored);
-  row.set("transitions", v.transitions);
-  row.set("sketch_distinct", v.sketch.distinct);
-  row.set("sketch_signature", hex64(v.sketch.signature()));
-  row.set("counterexample_sha256",
-          v.counterexample.has_value()
-              ? util::Json(util::Sha256::hex(v.counterexample->to_json().dump_canonical()))
-              : util::Json());
+  set_counts(row, *result.report->scenarios[0].verification);
   return row;
 }
 
-/// The checked-in rows of `file` under tests/golden/, keyed by scenario name.
+/// The two ablations, by the name their rows carry.
+const std::vector<std::string> kAblations = {"por=false", "subsumption=false"};
+
+/// Both ablations run out of budget here at 1,000,000 states: ~111 s
+/// without POR and ~6.6 s without subsumption, at 4 verify threads on a
+/// 4-vCPU host.  A row at budget pins nothing the search must reach.
+const std::string kNoAblationRows = "edge-dwell-safe-n3";
+
+/// The ablation row of one proof: the document's resolved spec at its
+/// declared budgets and 4 verify threads, with `ablation` switched off.
+util::Json ablation_row(Job job, const std::string& ablation) {
+  job.mode = campaign::RunMode::kVerify;
+  job.tuning.threads = 4;
+  const campaign::ScenarioSpec spec =
+      scenarios::build(resolved_params(job, resolve_scenario(job)));
+  verify::VerifyOptions options = spec.verify.options();
+  if (ablation == "por=false") options.por = false;
+  if (ablation == "subsumption=false") options.subsumption = false;
+  const verify::VerifyResult result =
+      verify::verify_pte(verify::compile_model(spec.verify_input()), options);
+  util::Json row = util::Json::object();
+  row.set("scenario", job_name(job));
+  row.set("ablation", ablation);
+  row.set("verdict", verify::verify_status_str(result.status));
+  set_counts(row, result);
+  return row;
+}
+
+/// A golden row's key: its scenario name, then its ablation if it has one.
+std::string row_key(const util::Json& row) {
+  const util::Json* ablation = row.find("ablation");
+  return ablation == nullptr ? row.at("scenario").as_string()
+                             : util::cat(row.at("scenario").as_string(), " ",
+                                         ablation->as_string());
+}
+
+/// The checked-in rows of `file` under tests/golden/, keyed by row_key.
 std::map<std::string, util::Json> golden_rows(const char* file) {
   const util::Json golden = util::Json::parse(read_text(kTestsDir / "golden" / file));
   std::map<std::string, util::Json> rows;
-  for (const util::Json& row : golden.at("rows").as_array())
-    rows.emplace(row.at("scenario").as_string(), row);
+  for (const util::Json& row : golden.at("rows").as_array()) rows.emplace(row_key(row), row);
   return rows;
 }
 
@@ -135,6 +184,18 @@ void expect_rows(const char* file, const std::string& where,
 void expect_ledger_rows(std::size_t verify_threads, const std::set<std::string>& skip) {
   expect_rows("counters.json", util::cat(verify_threads, " verify thread(s)"), skip,
               [&](const Job& job) { return ledger_row(job, verify_threads); });
+}
+
+/// The keys ablations.json must hold: every ablation of every document
+/// but kNoAblationRows.
+std::set<std::string> ablation_keys() {
+  std::set<std::string> keys;
+  for (const Job& job : ledger_jobs()) {
+    if (job_name(job) == kNoAblationRows) continue;
+    for (const std::string& ablation : kAblations)
+      keys.insert(util::cat(job_name(job), " ", ablation));
+  }
+  return keys;
 }
 
 template <typename T>
@@ -218,6 +279,28 @@ TEST(CounterLedger, EveryRowMatchesAtFourVerifyThreads) { expect_ledger_rows(4, 
 
 TEST(CounterLedger, EveryRowMatchesAtOneVerifyThread) {
   expect_ledger_rows(1, {"edge-dwell-safe-n3"});
+}
+
+TEST(CounterLedger, HasBothAblationRowsPerDocumentWithinBudget) {
+  std::set<std::string> keys;
+  for (const auto& [key, row] : golden_rows("ablations.json")) keys.insert(key);
+  EXPECT_EQ(ablation_keys(), keys);
+}
+
+TEST(CounterLedger, EveryAblationRowMatchesAtFourVerifyThreads) {
+  const std::map<std::string, util::Json> golden = golden_rows("ablations.json");
+  for (const Job& job : ledger_jobs()) {
+    if (job_name(job) == kNoAblationRows) continue;
+    for (const std::string& ablation : kAblations) {
+      const util::Json row = ablation_row(job, ablation);
+      const std::string key = row_key(row);
+      SCOPED_TRACE(key);
+      const auto it = golden.find(key);
+      const std::string expected =
+          it == golden.end() ? "(no row)" : it->second.dump_canonical();
+      EXPECT_EQ(expected, row.dump_canonical()) << "new row:\n" << row.dump(2);
+    }
+  }
 }
 
 TEST(SampleLedger, HasOneRowPerRegistryEntryAndCorpusDocument) {

@@ -10,7 +10,8 @@
 //    must agree on the verdict;
 //  * the AVX2 kernel table computes bit-identical results to the scalar
 //    reference, both on raw randomized packed matrices and through a full
-//    verification run;
+//    verification run, and the fused widening kernel matches the
+//    widen-then-sum it replaced on both arms;
 //  * partial-order reduction preserves verdicts and counterexamples on
 //    randomized models while never storing more states;
 //  * parallel exploration is bit-identical across thread counts, and
@@ -154,8 +155,9 @@ TEST(ZoneWiden, RepresentsTheExtrapolatedSet) {
     const double k = 10.0;
     Zone z = random_zone(clocks, rng);
     if (z.is_empty()) continue;
-    Zone widened = z, extrapolated = z;
-    widened.widen(k);
+    Zone::SigPair sigs;
+    const Zone widened = z.widened(k, sigs);
+    Zone extrapolated = z;
     extrapolated.extrapolate(k);
     const Zone probe = random_zone(clocks, rng);
     if (probe.is_empty()) continue;
@@ -207,6 +209,68 @@ TEST(ZoneKernels, Avx2MatchesScalarOnRandomMatrices) {
 
     EXPECT_EQ(scalar.shift_sum(a.data(), n, 16), simd->shift_sum(a.data(), n, 16));
     EXPECT_EQ(scalar.shift_sum(a.data(), n, 8), simd->shift_sum(a.data(), n, 8));
+  }
+}
+
+/// The store's widening before widen_sum fused it with the copy and the
+/// signatures: the off-diagonal finite entries above packed_le(k) go to
+/// infinity, those below packed_lt(-k) are raised to it; then
+/// signatures() summed the result in two more passes.
+WidenSums widen_then_signatures(std::vector<std::int64_t>& d, std::size_t n, double k) {
+  const PackedBound upper = packed_le(k);
+  const PackedBound lower = packed_lt(-k);
+  WidenSums out;
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) {
+      std::int64_t& b = d[i * n + j];
+      if (i == j || packed_is_inf(b)) continue;
+      if (b > upper) {
+        b = kPackedInf;
+        out.changed = true;
+      } else if (b < lower) {
+        b = lower;
+        out.changed = true;
+      }
+    }
+  }
+  out.sig = scalar_zone_kernels().shift_sum(d.data(), n * n, 16);
+  out.lower = scalar_zone_kernels().shift_sum(d.data(), n, 8);
+  return out;
+}
+
+TEST(ZoneKernels, WidenSumMatchesWidenThenSignaturesOnEveryArm) {
+  std::vector<const ZoneKernels*> arms = {&scalar_zone_kernels()};
+  if (const ZoneKernels* simd = avx2_zone_kernels()) arms.push_back(simd);
+  sim::Rng rng(10);
+  for (int trial = 0; trial < 2000; ++trial) {
+    // Dimensions 1..12 leave every tail the 4-lane loops can leave, in
+    // row 0 and in the rest of the matrix.  A canonical zone's diagonal
+    // is packed_le(0); the rest are random bounds (some infinite, many
+    // beyond ±k).
+    const std::size_t n = 1 + rng.uniform_int(12);
+    const double k = static_cast<double>(rng.uniform_int(64));
+    std::vector<std::int64_t> src(n * n);
+    for (std::size_t idx = 0; idx < n * n; ++idx)
+      src[idx] = idx % (n + 1) == 0 ? packed_le(0.0) : pack(random_bound(rng));
+    std::vector<std::int64_t> expected = src;
+    const WidenSums want = widen_then_signatures(expected, n, k);
+    for (const ZoneKernels* arm : arms) {
+      SCOPED_TRACE(::testing::Message() << arm->name << ", n=" << n << ", k=" << k);
+      std::vector<std::int64_t> dst(n * n, 0);
+      const WidenSums got = arm->widen_sum(dst.data(), src.data(), n, packed_le(k), packed_lt(-k));
+      EXPECT_EQ(dst, expected);
+      EXPECT_EQ(got.sig, want.sig);
+      EXPECT_EQ(got.lower, want.lower);
+      EXPECT_EQ(got.changed, want.changed);
+      // In place (extrapolate's call) gives the same matrix and sums.
+      std::vector<std::int64_t> in_place = src;
+      const WidenSums again =
+          arm->widen_sum(in_place.data(), in_place.data(), n, packed_le(k), packed_lt(-k));
+      EXPECT_EQ(in_place, expected);
+      EXPECT_EQ(again.sig, want.sig);
+      EXPECT_EQ(again.lower, want.lower);
+      EXPECT_EQ(again.changed, want.changed);
+    }
   }
 }
 
