@@ -1,10 +1,16 @@
 // Zone-engine microbenchmarks: the packed-DBM primitives the verifier's
 // hot path is made of — up/constrain/reset (successor construction),
-// subset_of (antichain scans), the widened copy and extrapolate (store
-// admission), intersect (full Floyd–Warshall close), copy (pool
-// recycling) — plus the passed-list insert path itself (signature-pruned
-// antichain with subsumption eviction, the same algorithm checker.cpp
-// runs per stored state, storing the fused widen_sum kernel's copy).
+// free + reset (a clock dropping out of the matrix and coming back, as
+// the partial-order reduction's frees and the next reset do), subset_of
+// (antichain scans), the widened copy and extrapolate (store admission),
+// intersect (full Floyd–Warshall close), copy (pool recycling) — plus the
+// passed-list insert path itself (signature-pruned antichain with
+// subsumption eviction, the same algorithm checker.cpp runs per stored
+// state, storing the fused widen_sum kernel's copy).  The primitives run
+// on zones that store every clock; the insert path keys its zones by a
+// discrete state that drops a fixed random subset of the clocks, as
+// apply_por_frees does, so it runs on matrices of the size the store
+// holds, and reports their mean dimension.
 //
 // Each row reports ops/s and allocs/op from a whole-binary operator-new
 // counter: the zone free list should hold allocs/op at ~0 for every
@@ -116,6 +122,11 @@ int main(int argc, char** argv) {
       scratch = samples[i & 255];
       scratch.reset(1 + (i % clocks));
     }));
+    rows.push_back(bench("drop + re-insert a clock", iters, true, [&](std::size_t i) {
+      scratch = samples[i & 255];
+      scratch.free(1 + (i % clocks));
+      scratch.reset(1 + (i % clocks));
+    }));
     Zone::SigPair sigs;
     rows.push_back(bench("widened copy + signatures", iters, true, [&](std::size_t i) {
       scratch = samples[i & 255].widened(48.0, sigs);
@@ -141,17 +152,33 @@ int main(int argc, char** argv) {
                        [&](std::size_t i) { sig_sink = samples[i & 255].signature(); }));
 
   // The passed-list insert path: signature-sorted antichain with
-  // subsumption drop + eviction, exactly as Checker::absorb runs it.
+  // subsumption drop + eviction, exactly as Checker::absorb runs it, one
+  // chain per discrete key.  Each key frees a fixed random subset of the
+  // clocks (each dead with probability 3/4, leaving the 3-5 live clocks
+  // of 17-21 the perfbench documents' mean stored zone has).
+  double insert_dim = 0.0;
   {
     struct Entry {
       std::int64_t sig;
       std::int64_t lower_sig;
       Zone widened;
     };
-    std::vector<Entry> chain;
+    constexpr std::size_t kKeys = 16;
+    std::vector<std::vector<std::size_t>> dead(kKeys);
+    std::vector<std::vector<Entry>> chains(kKeys);
+    sim::Rng key_rng(3);
+    for (auto& d : dead)
+      for (std::size_t c = 1; c <= clocks; ++c)
+        if (key_rng.bernoulli(0.75)) d.push_back(c);
+    std::size_t dims = 0, probes = 0;
     sim::Rng insert_rng(7);
     rows.push_back(bench("passed-list insert", iters / 8, false, [&](std::size_t) {
-      const Zone z = random_zone(clocks, insert_rng);
+      const std::size_t key = insert_rng.uniform_int(kKeys);
+      Zone z = random_zone(clocks, insert_rng);
+      for (std::size_t c : dead[key]) z.free(c);
+      dims += z.stored_clocks() + 1;
+      ++probes;
+      std::vector<Entry>& chain = chains[key];
       const Zone::SigPair raw = z.signatures();
       auto ge = std::lower_bound(
           chain.begin(), chain.end(), raw.sig,
@@ -178,6 +205,7 @@ int main(int argc, char** argv) {
                    Entry{wsig.sig, wsig.lower, std::move(widened)});
       if (chain.size() > 512) chain.clear();  // bound the store, like a fresh key
     }));
+    insert_dim = static_cast<double>(dims) / static_cast<double>(probes);
   }
 
   // Scalar-vs-SIMD kernel table: the same workloads, dispatch pinned to
@@ -251,6 +279,8 @@ int main(int argc, char** argv) {
   std::printf("  pool: %llu heap allocs, %llu recycled\n",
               static_cast<unsigned long long>(pool.heap_allocs),
               static_cast<unsigned long long>(pool.pool_hits));
+  std::printf("  passed-list insert: mean stored dimension %.2f of %zu\n", insert_dim,
+              clocks + 1);
 
   std::printf("kernel dispatch (%s vs %s, best of 3):\n",
               verify::scalar_zone_kernels().name, simd ? simd->name : "none");

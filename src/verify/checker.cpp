@@ -521,21 +521,35 @@ class Expander {
   /// clocks — sees the same zone, and verdicts and counterexample
   /// concretization are exact.  Interleavings that differ only in dead-
   /// clock ages now produce identical zones and collapse in the store.
+  /// A free drops the clock's row and column, so the stored matrix spans
+  /// the live clocks only.
   void apply_por_frees(Outcome& o) {
     const CompiledModel::PorInfo& por = m_.por;
+    std::size_t freed = 0;
+    const auto free_dead = [&](std::size_t clock) {
+      o.z.free(clock);
+      ++freed;
+    };
     for (std::size_t a = 0; a < m_.automata.size(); ++a)
-      if (por.dwell_free[a][o.d.loc[a]]) o.z.free(m_.clocks.dwell(a));
+      if (por.dwell_free[a][o.d.loc[a]]) free_dead(m_.clocks.dwell(a));
     for (std::size_t d = 0; d < m_.deadlines.size(); ++d) {
       const std::size_t owner = m_.deadlines[d].automaton;
-      if (!por.deadline_live[d][o.d.loc[owner]]) o.z.free(m_.clocks.deadline(d));
+      if (!por.deadline_live[d][o.d.loc[owner]]) free_dead(m_.clocks.deadline(d));
     }
     for (std::size_t e = 1; e <= m_.monitor.n_entities; ++e) {
       const std::uint32_t bit = 1u << (e - 1);
-      if (!(o.d.risky & bit)) o.z.free(m_.clocks.risky(e));
-      if (e == 1 || !(o.d.ever_exited & bit)) o.z.free(m_.clocks.safe(e));
+      if (!(o.d.risky & bit)) free_dead(m_.clocks.risky(e));
+      if (e == 1 || !(o.d.ever_exited & bit)) free_dead(m_.clocks.safe(e));
     }
     for (std::size_t s = 0; s < o.d.slots.size(); ++s)
-      if (!slot_active(o.d.slots[s])) o.z.free(m_.clocks.msg(s));
+      if (!slot_active(o.d.slots[s])) free_dead(m_.clocks.msg(s));
+    // Every clock is one of the kinds above, and each non-live one was
+    // just dropped, so the zone stores exactly the live clocks iff the
+    // counts agree.  A live clock without a row would mean it turned live
+    // without a reset, and zones of one discrete state would no longer
+    // share a layout.
+    PTE_CHECK(o.z.stored_clocks() == m_.clocks.count - freed,
+              "verify: a POR-live clock has no row in the zone");
   }
 
   // -- zone-op helpers ------------------------------------------------------

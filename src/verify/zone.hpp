@@ -20,6 +20,20 @@
 // representation (and as the oracle the packed arithmetic is
 // property-tested against).
 //
+// Stored clocks (the active-clock reduction of Daws & Yovine, RTSS 1996):
+// a matrix has rows and columns only for the zero clock and the clocks
+// that are not freed, in model-clock order; a per-zone byte table after
+// the matrix maps each model clock to its row.  free(c) drops c's row and
+// column, reset(c) of a dropped clock inserts it again at 0, and a
+// constrain that tightens a dropped clock inserts it unconstrained first.
+// A dropped clock is unconstrained apart from x_c >= 0, and every
+// accessor answers in model clock indices as a full matrix would after
+// free(c): row c is infinite, column c equals column 0, (0, c) is <= 0.
+// Zones stored under one discrete state share one layout (the checker
+// frees exactly the POR-dead clocks), so inclusion and equality compare
+// entrywise; zones with different layouts are first brought to the union
+// of their stored clocks.
+//
 // Operations follow Bengtsson & Yi, "Timed Automata: Semantics,
 // Algorithms and Tools" (algorithms in Fig. 10 there): close (canonical
 // form), up/down (future/past closure), free, reset, constrain, and
@@ -100,8 +114,8 @@ inline PackedBound packed_widen(PackedBound w, PackedBound upper, PackedBound lo
 
 class Zone {
  public:
-  /// `clocks` real clocks (indices 1..clocks in the DBM; 0 is the zero
-  /// clock).  Starts as the single point "all clocks = 0".
+  /// `clocks` real clocks (indices 1..clocks; 0 is the zero clock), all
+  /// stored.  Starts as the single point "all clocks = 0".
   explicit Zone(std::size_t clocks);
   Zone(const Zone& other);
   Zone(Zone&& other) noexcept;
@@ -109,7 +123,12 @@ class Zone {
   Zone& operator=(Zone&& other) noexcept;
   ~Zone();
 
-  std::size_t clocks() const { return n_ - 1; }
+  /// Model clocks, stored or dropped.
+  std::size_t clocks() const { return clocks_; }
+  /// Clocks with a row and column of their own (the rest were freed).
+  std::size_t stored_clocks() const { return n_ - 1u; }
+  /// Does clock c (0..clocks) have a row and column?
+  bool stores(std::size_t c) const { return table()[c] != kDropped; }
 
   /// x_i - x_j bound (i, j in 0..clocks; 0 = the constant zero clock).
   Bound at(std::size_t i, std::size_t j) const;
@@ -128,12 +147,12 @@ class Zone {
   /// Would constrain(i, j, w) leave the zone non-empty?  O(1) on a
   /// canonical DBM: the only new cycle is i -> j -> i.
   bool feasible(std::size_t i, std::size_t j, PackedBound w) const {
-    return !empty_ && packed_add(w, dbm_[j * n_ + i]) >= 1;  // >= packed_le(0)
+    return !empty_ && packed_add(w, entry(j, i)) >= 1;  // >= packed_le(0)
   }
   /// x_i := 0.
   void reset(std::size_t i);
   /// Remove all constraints on x_i except x_i >= 0 (backward inverse of
-  /// reset).
+  /// reset): drops x_i's row and column.
   void free(std::size_t i);
 
   /// k-extrapolation (k >= 0): bounds beyond ±k are widened to
@@ -159,12 +178,12 @@ class Zone {
   /// every bound, with `eps` slack on non-strict bounds?
   bool contains(const std::vector<double>& point, double eps = 1e-9) const;
 
-  std::uint64_t hash() const;
   bool operator==(const Zone& other) const;
 
-  /// Monotone inclusion signature: sum of all (packed) entries, scaled to
-  /// avoid overflow.  A ⊆ B implies signature(A) <= signature(B), so an
-  /// antichain store can range-prune most subset tests on this scalar.
+  /// Monotone inclusion signature: sum of all stored (packed) entries,
+  /// scaled to avoid overflow.  Between zones that store the same clocks,
+  /// A ⊆ B implies signature(A) <= signature(B), so an antichain store
+  /// can range-prune most subset tests on this scalar.
   std::int64_t signature() const;
   /// Same idea over row 0 only (the clocks' lower bounds) — a second,
   /// near-orthogonal prune axis: lower bounds stay finite under widening
@@ -201,16 +220,40 @@ class Zone {
   static PoolStats pool_stats();
 
  private:
+  static constexpr std::uint8_t kDropped = 0xFF;  // row table: no row
+
   struct Uninitialized {};
-  /// A matrix from the pool for `dim`, entries left for the caller.
-  Zone(std::uint32_t dim, Uninitialized);
+  /// A buffer from the pool for a `dim`-row matrix over `clocks` model
+  /// clocks, matrix and row table left for the caller.
+  Zone(std::size_t dim, std::size_t clocks, Uninitialized);
 
   PackedBound& m(std::size_t i, std::size_t j) { return dbm_[i * n_ + j]; }
   const PackedBound& m(std::size_t i, std::size_t j) const { return dbm_[i * n_ + j]; }
+  /// Model clock -> stored row (kDropped if none), right after the matrix.
+  std::uint8_t* table() { return reinterpret_cast<std::uint8_t*>(dbm_ + std::size_t{n_} * n_); }
+  const std::uint8_t* table() const {
+    return reinterpret_cast<const std::uint8_t*>(dbm_ + std::size_t{n_} * n_);
+  }
+  /// packed_at without the range check.
+  PackedBound entry(std::size_t i, std::size_t j) const {
+    const std::uint8_t* t = table();
+    const std::size_t ri = t[i], rj = t[j];
+    if (ri != kDropped && rj != kDropped) return m(ri, rj);
+    if (i == j) return 1;                   // packed_le(0)
+    if (ri == kDropped) return kPackedInf;  // nothing bounds a dropped x_i from above
+    return ri == 0 ? 1 : m(ri, 0);          // x_i - x_j <= x_i since x_j >= 0
+  }
+  bool same_layout(const Zone& other) const;
+  /// Give dropped clock c a row and column again, unconstrained
+  /// (x_c >= 0 only); returns its row.
+  std::size_t insert(std::size_t c);
+  /// Insert every clock `other` stores and this zone does not.
+  void cover(const Zone& other);
   void close();
 
-  PackedBound* dbm_;      // n_*n_ words from the per-thread pool
-  std::uint32_t n_;       // matrix dimension = clocks + 1
+  PackedBound* dbm_;        // n_*n_ words, then the row table, from the pool
+  std::uint16_t n_;         // matrix dimension = stored clocks + 1
+  std::uint16_t clocks_;    // model clocks
   bool empty_ = false;
 };
 

@@ -4,6 +4,10 @@
 //    handling) agrees with the double+bool reference representation on
 //    randomized inputs drawn from the packable grid;
 //  * inclusion signatures are monotone under zone inclusion;
+//  * a zone, which keeps rows only for the clocks it stores, answers
+//    every packed_at, is_empty, subset_of, intersect and == like a dense
+//    full-matrix reference DBM on random operation sequences, also
+//    between zones that store different clocks;
 //  * the antichain subsumption store never loses a reachable violation:
 //    randomized small timed models are cross-checked against the naive
 //    exact-equality store (VerifyOptions::subsumption = false), and both
@@ -163,6 +167,268 @@ TEST(ZoneWiden, RepresentsTheExtrapolatedSet) {
     if (probe.is_empty()) continue;
     EXPECT_EQ(probe.subset_of(widened), probe.subset_of(extrapolated)) << i;
   }
+}
+
+// ---------------------------------------------------------------------------
+// Stored clocks: Zone vs. a dense full-matrix reference
+// ---------------------------------------------------------------------------
+
+/// The differential oracle: a dense (clocks+1)^2 DBM in which every
+/// clock keeps its row and column.  free() writes the freed pattern into
+/// them (row c infinite, column c equal to column 0, (0, c) <= 0) and
+/// reset() copies row and column 0, the textbook full-matrix rules.
+/// `freed` tracks which clocks a Zone should have dropped.
+class DenseDbm {
+ public:
+  explicit DenseDbm(std::size_t clocks)
+      : n_(clocks + 1), d_(n_ * n_, packed_le(0.0)), freed_(n_, false) {}
+
+  PackedBound at(std::size_t i, std::size_t j) const { return d_[i * n_ + j]; }
+  bool empty() const { return empty_; }
+  bool freed(std::size_t c) const { return freed_[c]; }
+
+  void up() {
+    if (empty_) return;
+    for (std::size_t i = 1; i < n_; ++i) m(i, 0) = kPackedInf;
+    // Here the full matrix lets a freed clock's column lag behind column
+    // 0 (x_j - x_c keeps x_j's old upper bound), a constraint on a clock
+    // nothing reads.  A Zone has no column to lag, and the checker frees
+    // every dead clock again at each successor, so the oracle frees it
+    // again too.
+    for (std::size_t c = 1; c < n_; ++c)
+      if (freed_[c]) write_free(c);
+  }
+
+  void constrain(std::size_t i, std::size_t j, PackedBound w) {
+    if (empty_ || w >= m(i, j)) return;
+    freed_[i] = freed_[j] = false;
+    m(i, j) = w;
+    for (std::size_t a = 0; a < n_; ++a) {
+      if (packed_is_inf(m(a, i))) continue;
+      const PackedBound through = packed_add(m(a, i), w);
+      for (std::size_t b = 0; b < n_; ++b)
+        m(a, b) = packed_min(m(a, b), packed_add(through, m(j, b)));
+    }
+    for (std::size_t a = 0; a < n_; ++a)
+      if (m(a, a) < packed_le(0.0)) empty_ = true;
+  }
+
+  void reset(std::size_t i) {
+    if (empty_) return;
+    freed_[i] = false;
+    for (std::size_t j = 0; j < n_; ++j) {
+      m(i, j) = m(0, j);
+      m(j, i) = m(j, 0);
+    }
+    m(i, i) = packed_le(0.0);
+  }
+
+  void free(std::size_t i) {
+    if (empty_) return;
+    freed_[i] = true;
+    write_free(i);
+  }
+
+  void extrapolate(double k) {
+    if (empty_) return;
+    if (widen(k)) close();
+  }
+
+  DenseDbm widened(double k) const {
+    DenseDbm w = *this;
+    w.widen(k);
+    return w;
+  }
+
+  bool subset_of(const DenseDbm& o) const {
+    if (empty_) return true;
+    if (o.empty_) return false;
+    for (std::size_t idx = 0; idx < d_.size(); ++idx)
+      if (d_[idx] > o.d_[idx]) return false;
+    return true;
+  }
+
+  void intersect(const DenseDbm& o) {
+    if (empty_) return;
+    if (o.empty_) {
+      empty_ = true;
+      return;
+    }
+    for (std::size_t idx = 0; idx < d_.size(); ++idx) d_[idx] = packed_min(d_[idx], o.d_[idx]);
+    for (std::size_t c = 0; c < n_; ++c) freed_[c] = freed_[c] && o.freed_[c];
+    close();
+  }
+
+  bool operator==(const DenseDbm& o) const { return empty_ == o.empty_ && d_ == o.d_; }
+
+ private:
+  PackedBound& m(std::size_t i, std::size_t j) { return d_[i * n_ + j]; }
+  PackedBound m(std::size_t i, std::size_t j) const { return d_[i * n_ + j]; }
+
+  void write_free(std::size_t c) {
+    for (std::size_t j = 0; j < n_; ++j) {
+      if (j == c) continue;
+      m(c, j) = kPackedInf;
+      m(j, c) = m(j, 0);
+    }
+    m(0, c) = packed_le(0.0);
+  }
+
+  bool widen(double k) {
+    bool changed = false;
+    for (std::size_t i = 0; i < n_; ++i) {
+      for (std::size_t j = 0; j < n_; ++j) {
+        const PackedBound w = packed_widen(m(i, j), packed_le(k), packed_lt(-k));
+        changed |= w != m(i, j);
+        m(i, j) = w;
+      }
+    }
+    return changed;
+  }
+
+  void close() {
+    for (std::size_t k = 0; k < n_; ++k) {
+      for (std::size_t i = 0; i < n_; ++i) {
+        const PackedBound d_ik = m(i, k);
+        if (packed_is_inf(d_ik)) continue;
+        for (std::size_t j = 0; j < n_; ++j)
+          m(i, j) = packed_min(m(i, j), packed_add(d_ik, m(k, j)));
+      }
+    }
+    for (std::size_t i = 0; i < n_; ++i) {
+      if (m(i, i) < packed_le(0.0)) {
+        empty_ = true;
+        return;
+      }
+      m(i, i) = packed_le(0.0);
+    }
+  }
+
+  std::size_t n_;
+  std::vector<PackedBound> d_;
+  std::vector<bool> freed_;
+  bool empty_ = false;
+};
+
+/// Every packed_at, is_empty and the stored set agree with the oracle
+/// (entries of an empty zone are unspecified).
+::testing::AssertionResult matches(const Zone& z, const DenseDbm& ref) {
+  if (z.is_empty() != ref.empty())
+    return ::testing::AssertionFailure() << "is_empty " << z.is_empty();
+  if (z.is_empty()) return ::testing::AssertionSuccess();
+  for (std::size_t i = 0; i <= z.clocks(); ++i) {
+    if (i > 0 && z.stores(i) == ref.freed(i))
+      return ::testing::AssertionFailure() << "clock " << i << " stored " << z.stores(i);
+    for (std::size_t j = 0; j <= z.clocks(); ++j)
+      if (z.packed_at(i, j) != ref.at(i, j))
+        return ::testing::AssertionFailure() << "entry (" << i << ", " << j << "): "
+                                             << z.packed_at(i, j) << " vs " << ref.at(i, j);
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// A random zone constraint on clocks 0..clocks: an upper, a lower or a
+/// difference bound from a small grid, strict or not.
+void random_constraint(std::size_t clocks, sim::Rng& rng, std::size_t& i, std::size_t& j,
+                       PackedBound& w) {
+  i = rng.uniform_int(clocks + 1);
+  do j = rng.uniform_int(clocks + 1);
+  while (j == i);
+  const double v = static_cast<double>(rng.uniform_int(25)) - (j == 0 ? 0.0 : 12.0);
+  w = rng.bernoulli(0.5) ? packed_lt(v) : packed_le(v);
+}
+
+TEST(ZoneStoredClocks, MatchesDenseReferenceOnRandomSequences) {
+  sim::Rng rng(11);
+  const double k = 10.0;
+  int union_pairs = 0, union_subsets = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const std::size_t clocks = 1 + rng.uniform_int(12);
+    Zone z(clocks);
+    DenseDbm ref(clocks);
+    // Snapshots from earlier in the sequence: they usually store other
+    // clocks, which sends subset_of, intersect and == down the union path.
+    std::vector<std::pair<Zone, DenseDbm>> snaps;
+    for (int step = 0; step < 40 && !z.is_empty(); ++step) {
+      const std::size_t c = 1 + rng.uniform_int(clocks);
+      const std::uint64_t op = rng.uniform_int(10);
+      SCOPED_TRACE(::testing::Message() << "trial " << trial << ", step " << step << ", op "
+                                        << op << ", clock " << c << " of " << clocks);
+      if (op <= 1) {
+        z.up();
+        ref.up();
+      } else if (op <= 4) {
+        std::size_t i, j;
+        PackedBound w;
+        random_constraint(clocks, rng, i, j, w);
+        z.constrain(i, j, w);
+        ref.constrain(i, j, w);
+      } else if (op <= 5) {
+        z.reset(c);
+        ref.reset(c);
+      } else if (op <= 7) {
+        z.free(c);
+        ref.free(c);
+      } else if (op == 8) {
+        z.extrapolate(k);
+        ref.extrapolate(k);
+      } else {
+        Zone::SigPair sigs;
+        const Zone w = z.widened(k, sigs);
+        ASSERT_TRUE(matches(w, ref.widened(k)));
+        EXPECT_EQ(sigs.sig, w.signature());
+        EXPECT_EQ(sigs.lower, w.lower_signature());
+      }
+      ASSERT_TRUE(matches(z, ref));
+      if (z.is_empty()) break;
+
+      for (const auto& [sz, sref] : snaps) {
+        bool differ = false;
+        for (std::size_t cc = 1; cc <= clocks; ++cc) differ |= sz.stores(cc) != z.stores(cc);
+        union_pairs += differ;
+        EXPECT_EQ(sz.subset_of(z), sref.subset_of(ref));
+        EXPECT_EQ(z.subset_of(sz), ref.subset_of(sref));
+        union_subsets += differ && sz.subset_of(z);
+        EXPECT_EQ(sz == z, sref == ref);
+        Zone meet = sz;
+        DenseDbm meet_ref = sref;
+        meet.intersect(z);
+        meet_ref.intersect(ref);
+        ASSERT_TRUE(matches(meet, meet_ref));
+      }
+      if (rng.bernoulli(0.2) && snaps.size() < 4) snaps.emplace_back(z, ref);
+    }
+  }
+  // The union path must actually run, with both answers.
+  EXPECT_GE(union_pairs, 10000);
+  EXPECT_GE(union_subsets, 1000);
+}
+
+TEST(ZoneStoredClocks, EqualSetsCompareEqualAcrossLayouts) {
+  // x1 in [0, 3] with x2 dropped, against the same set storing x2 as an
+  // unconstrained clock: x2 <= 50 is inserted, then widened away at k = 10.
+  Zone dropped(2);
+  dropped.up();
+  dropped.constrain(1, 0, packed_le(3.0));
+  dropped.free(2);
+  Zone stored = dropped;
+  stored.constrain(2, 0, packed_le(50.0));
+  stored.extrapolate(10.0);
+  ASSERT_FALSE(dropped.stores(2));
+  ASSERT_TRUE(stored.stores(2));
+  EXPECT_EQ(dropped.stored_clocks(), 1u);
+  EXPECT_EQ(stored.stored_clocks(), 2u);
+  EXPECT_TRUE(dropped == stored);
+  EXPECT_TRUE(stored == dropped);
+  EXPECT_TRUE(dropped.subset_of(stored));
+  EXPECT_TRUE(stored.subset_of(dropped));
+  // A dropped clock reads like a freed full matrix: no upper bound, no
+  // bound against other clocks, x_c >= 0, and x_j - x_c <= x_j's bound.
+  EXPECT_TRUE(packed_is_inf(dropped.packed_at(2, 0)));
+  EXPECT_TRUE(packed_is_inf(dropped.packed_at(2, 1)));
+  EXPECT_EQ(dropped.packed_at(0, 2), packed_le(0.0));
+  EXPECT_EQ(dropped.packed_at(1, 2), packed_le(3.0));
+  EXPECT_EQ(dropped.packed_at(2, 2), packed_le(0.0));
 }
 
 // ---------------------------------------------------------------------------
