@@ -68,27 +68,11 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
   for (std::size_t i = 0; i <= spec.config.n_remotes; ++i) entity_of[i] = i;
   monitor_->attach(*engine_, std::move(entity_of));
 
-  // Session counting: supervisor departures from Fall-Back (when present).
-  const auto& supervisor = engine_->automaton(0);
-  if (supervisor.has_location("Fall-Back")) {
-    const hybrid::LocId fb = supervisor.location_id("Fall-Back");
-    engine_->add_transition_observer([this, fb](std::size_t a, sim::SimTime, hybrid::LocId from,
-                                                hybrid::LocId to, const std::string&) {
-      if (a == 0 && from == fb && to != from) ++sessions_;
-    });
-  }
-
-  // Whole-system reset measurement (Theorem 1's empirical counterpart),
-  // including right-censoring of sessions cut by the horizon.  Needs a
-  // (projected) Fall-Back on every automaton — true for pattern systems.
-  bool all_have_fall_back = true;
-  for (std::size_t a = 0; a < engine_->num_automata(); ++a) {
-    if (!engine_->automaton(a).has_location("Fall-Back")) all_have_fall_back = false;
-  }
-  if (all_have_fall_back) {
-    session_tracker_ = std::make_unique<core::SessionTracker>(
-        *engine_, core::SessionTracker::fall_back_sets(*engine_, {}));
-  }
+  // Sessions and whole-system reset measurement (Theorem 1's empirical
+  // counterpart), including right-censoring of sessions cut by the
+  // horizon.  Every pattern automaton has a Fall-Back location.
+  session_tracker_ = std::make_unique<core::SessionTracker>(
+      *engine_, core::SessionTracker::fall_back_sets(*engine_, {}));
 
   // Lease-expiry forced stops (evtToStop emissions) per entity.  Match by
   // interned id — one integer compare per candidate instead of string
@@ -166,12 +150,10 @@ RunResult SimulationContext::collect() {
     result_.session.max_dwell[i] = monitor_->max_dwell(i);
   }
   result_.session.lease_stops = lease_stops_;
-  result_.session.sessions = sessions_;
-  if (session_tracker_) {
-    session_tracker_->finalize(engine_->now());
-    result_.session.censored_sessions = session_tracker_->censored_count();
-    result_.session.max_system_reset = session_tracker_->max_system_reset();
-  }
+  session_tracker_->finalize(engine_->now());
+  result_.session.sessions = session_tracker_->session_count();
+  result_.session.censored_sessions = session_tracker_->censored_count();
+  result_.session.max_system_reset = session_tracker_->max_system_reset();
   result_.session.transitions = engine_->transitions_taken();
   result_.session.wireless_sends = router_->wireless_sends();
   result_.network = network_->total_stats();

@@ -62,8 +62,7 @@ class SimulationContext {
   net::StarNetwork& network() { return *network_; }
   net::NetEventRouter& router() { return *router_; }
   core::PteMonitor& monitor() { return *monitor_; }
-  /// Null for systems without per-automaton Fall-Back locations.
-  core::SessionTracker* session_tracker() { return session_tracker_.get(); }
+  core::SessionTracker& session_tracker() { return *session_tracker_; }
   sim::Rng& rng() { return rng_; }
   const ScenarioSpec& spec() const { return spec_; }
   std::uint64_t seed() const { return seed_; }
@@ -94,12 +93,11 @@ class SimulationContext {
   std::unique_ptr<net::StarNetwork> network_;
   std::unique_ptr<net::NetEventRouter> router_;
   std::unique_ptr<core::PteMonitor> monitor_;
-  /// Present when every automaton has a Fall-Back location (pattern
-  /// systems): measures whole-system reset times and right-censors
-  /// sessions still open at the horizon (Theorem 1 statistics).
+  /// Counts sessions (supervisor departures from Fall-Back), measures
+  /// whole-system reset times and right-censors sessions still open at
+  /// the horizon (Theorem 1 statistics).
   std::unique_ptr<core::SessionTracker> session_tracker_;
   std::vector<std::size_t> lease_stops_;
-  std::size_t sessions_ = 0;
   bool collected_ = false;
   RunResult result_;
 };

@@ -80,15 +80,15 @@ struct SessionRecord {
   /// lease_stops[i] = lease-expiry forced stops of ξi (evtToStop
   /// emissions — the quantity Table I counts).
   std::vector<std::size_t> lease_stops;
-  /// Supervisor departures from Fall-Back (0 when the supervisor has no
-  /// Fall-Back location, e.g. fully custom systems).
+  /// Supervisor departures from Fall-Back (core::SessionTracker's
+  /// session count).
   std::size_t sessions = 0;
   /// Sessions still open at the horizon — right-censored: their true
   /// reset duration is unknown but at least what `max_system_reset`
   /// reports for them (core::SessionTracker semantics).
   std::size_t censored_sessions = 0;
   /// Worst whole-system reset observed (censored sessions contribute
-  /// their elapsed time as a lower bound); 0 without a tracker.
+  /// their elapsed time as a lower bound); 0 without sessions.
   double max_system_reset = 0.0;
   std::uint64_t transitions = 0;
   std::uint64_t wireless_sends = 0;

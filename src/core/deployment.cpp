@@ -7,7 +7,7 @@ namespace ptecps::core {
 
 void BuiltSystem::install_routes(net::NetEventRouter& router) const {
   for (const auto& r : wireless_routes)
-    router.add_route(r.root, r.src, r.dst, net::Transport::kWireless);
+    router.add_route(r.root, r.src, r.dst);
 }
 
 BuiltSystem build_pattern_system(const PatternConfig& config, const ApprovalSpec& approval,

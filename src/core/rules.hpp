@@ -24,7 +24,7 @@
 namespace ptecps::core {
 
 /// intervals[i-1] holds entity ξi's risky intervals in chronological
-/// order (from PteMonitor::intervals or hybrid::risky_intervals).
+/// order (e.g. from PteMonitor::intervals).
 struct OfflineInput {
   MonitorParams params;
   std::vector<std::vector<RiskyInterval>> intervals;

@@ -14,6 +14,12 @@ namespace ptecps::hybrid {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+/// Largest RK4 step for ODE locations (s).
+constexpr double kDtMax = 0.01;
+/// Bisection tolerance for ODE guard crossings (s).
+constexpr double kCrossingTol = 1e-7;
+/// Same-instant chained transitions allowed (the non-zeno guard).
+constexpr unsigned kMaxCascade = 4096;
 
 std::string trigger_desc(const Edge& e) {
   switch (e.kind) {
@@ -253,8 +259,8 @@ void Engine::enter_location(std::size_t a, LocId loc, const std::string& trigger
 }
 
 void Engine::fire_edge(std::size_t a, EdgeId ei) {
-  PTE_CHECK(cascade_depth_ < options_.max_cascade,
-            util::cat("non-zeno guard tripped: more than ", options_.max_cascade,
+  PTE_CHECK(cascade_depth_ < kMaxCascade,
+            util::cat("non-zeno guard tripped: more than ", kMaxCascade,
                       " chained transitions at t=", cont_time_,
                       " (automaton '", automata_[a].name(), "')"));
   ++cascade_depth_;
@@ -402,7 +408,7 @@ void Engine::integrate_automaton(std::size_t a, sim::SimTime from, sim::SimTime 
     return;
   }
   const Flow& flow = automata_[a].location(st.loc).flow;
-  const int steps = std::max(1, static_cast<int>(std::ceil(h / options_.dt_max)));
+  const int steps = std::max(1, static_cast<int>(std::ceil(h / kDtMax)));
   const double dt = h / steps;
   for (int s = 0; s < steps; ++s) rk4_step(flow, st.x, dt);
 }
@@ -438,13 +444,13 @@ bool Engine::advance_continuous(sim::SimTime target) {
       }
     }
 
-    // 2. Step horizon: ODE automata advance at most dt_max per chunk.
+    // 2. Step horizon: ODE automata advance at most kDtMax per chunk.
     bool any_ode = false;
     for (const auto& st : states_) {
       if (st.info->needs_integration && st.info->has_ode) any_ode = true;
     }
     sim::SimTime step_end = target;
-    if (any_ode) step_end = std::min(step_end, cont_time_ + options_.dt_max);
+    if (any_ode) step_end = std::min(step_end, cont_time_ + kDtMax);
 
     if (t_exact <= step_end + sim::kTimeEps && t_exact <= target + sim::kTimeEps) {
       // Advance everything to the exact crossing and fire it.
@@ -472,7 +478,7 @@ bool Engine::advance_continuous(sim::SimTime target) {
           if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
             // Bisect within [t_from, tc] using the saved state.
             double lo = 0.0, hi = tc - t_from;
-            while (hi - lo > options_.crossing_tol) {
+            while (hi - lo > kCrossingTol) {
               const double mid = 0.5 * (lo + hi);
               Valuation probe = saved[a];
               auto& mut = states_[a];
@@ -548,7 +554,7 @@ bool Engine::advance_continuous(sim::SimTime target) {
         const Edge& e = automata_[a].edge(ei);
         if (!e.guard.eval(st.x, cont_time_ - st.entry_time)) continue;
         double lo = 0.0, hi = step_end - t_from;
-        while (hi - lo > options_.crossing_tol) {
+        while (hi - lo > kCrossingTol) {
           const double mid = 0.5 * (lo + hi);
           Valuation probe = saved[a];
           auto& mut = states_[a];

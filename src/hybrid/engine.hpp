@@ -11,16 +11,17 @@
 //    guard becomes true.  For locations whose flows are constant-rate the
 //    crossing time is solved in closed form (exact — this covers clocks
 //    and the ventilator cylinder).  For ODE flows, the engine integrates
-//    with RK4 in steps of `dt_max` and bisects the crossing to
-//    `crossing_tol`.
+//    with RK4 in steps of at most 10 ms and bisects the crossing to
+//    within 0.1 µs (kDtMax and kCrossingTol in engine.cpp).
 //  * Event edges fire when the event (label root) is delivered to the
 //    automaton while an enabled receiving edge exists; otherwise the
 //    delivery is ignored (recorded in the trace).  Deliveries are routed
 //    by an EventRouter: the default router broadcasts reliably at the
 //    same instant (suitable for wired/intra-entity events); the wireless
 //    substrate installs a router that forwards through lossy channels.
-//  * Ties at one instant execute in deterministic FIFO order; chained
-//    zero-time transitions are bounded by `max_cascade` (non-zeno guard).
+//  * Ties at one instant execute in deterministic FIFO order; at most
+//    4096 zero-time transitions may chain (kMaxCascade, the non-zeno
+//    guard).
 //  * Automata never share variables (§II-B), so continuous integration is
 //    per-automaton; interaction happens only through events.
 #pragma once
@@ -60,9 +61,6 @@ class BroadcastRouter final : public EventRouter {
 };
 
 struct EngineOptions {
-  double dt_max = 0.01;         // max RK4 step for ODE locations (s)
-  double crossing_tol = 1e-7;   // bisection tolerance for guard crossings (s)
-  unsigned max_cascade = 4096;  // same-instant transition bound (non-zeno)
   bool record_trace = true;
   bool throw_on_invariant_violation = false;
 };
@@ -204,7 +202,7 @@ class Engine {
   void schedule_timed_edges(std::size_t a);
   void cancel_timed_edges(std::size_t a);
   /// Fire condition edges enabled right now (entry eagerness); loops until
-  /// quiescent, bounded by max_cascade.
+  /// quiescent, bounded by kMaxCascade.
   void settle_conditions(std::size_t a);
   bool dispatch_event(std::size_t a, LabelId label, TraceKind kind);
   bool dispatch_unknown(std::size_t a, const std::string& root, TraceKind kind);

@@ -12,22 +12,13 @@ NetEventRouter::NetEventRouter(StarNetwork& network,
               "need one automaton per entity (base station + remotes)");
 }
 
-void NetEventRouter::add_route(const std::string& event_root, EntityId src, EntityId dst,
-                               Transport transport) {
-  PTE_REQUIRE(routes_.emplace(event_root, EventRoute{src, dst, transport}).second,
+void NetEventRouter::add_route(const std::string& event_root, EntityId src, EntityId dst) {
+  PTE_REQUIRE(engine_ == nullptr,
+              util::cat("route for event root '", event_root, "' added after attach()"));
+  PTE_REQUIRE(routes_.emplace(event_root, EventRoute{src, dst}).second,
               util::cat("duplicate route for event root '", event_root, "'"));
-  if (transport == Transport::kWireless) {
-    // Validate the topology early: throws on remote→remote.
-    network_.channel_for(src, dst);
-  }
-  // Routes may be registered after attach(); keep the dense table in sync.
-  if (engine_ != nullptr) {
-    const hybrid::LabelId id = engine_->label_id(event_root);
-    if (id != hybrid::kNoLabel) {
-      if (id >= dense_routes_.size()) dense_routes_.resize(id + 1);
-      dense_routes_[id] = DenseRoute{EventRoute{src, dst, transport}, true};
-    }
-  }
+  // Validate the topology early: throws on remote→remote.
+  network_.channel_for(src, dst);
 }
 
 void NetEventRouter::attach(hybrid::Engine& engine) {
@@ -53,28 +44,19 @@ void NetEventRouter::attach(hybrid::Engine& engine) {
   }
 }
 
-void NetEventRouter::route(hybrid::Engine& engine, std::size_t src_automaton,
+void NetEventRouter::route(hybrid::Engine&, std::size_t src_automaton,
                            const hybrid::SyncLabel& label, hybrid::LabelId label_id) {
-  const EventRoute* r = nullptr;
-  if (label_id != hybrid::kNoLabel && label_id < dense_routes_.size()) {
-    if (!dense_routes_[label_id].active) return;  // internal event, no receivers
-    r = &dense_routes_[label_id].route;
-  } else {
-    // attach() not called yet (or a foreign label id): string fallback.
-    const auto it = routes_.find(label.root);
-    if (it == routes_.end()) return;
-    r = &it->second;
-  }
-  PTE_CHECK(r->src < automaton_of_entity_.size() &&
-                automaton_of_entity_[r->src] == src_automaton,
+  PTE_CHECK(engine_ != nullptr && label_id < dense_routes_.size(),
+            util::cat("event '", label.root,
+                      "' routed before attach() or with a foreign label id"));
+  const DenseRoute& dense = dense_routes_[label_id];
+  if (!dense.active) return;  // internal event, no receivers
+  const EventRoute& r = dense.route;
+  PTE_CHECK(r.src < automaton_of_entity_.size() && automaton_of_entity_[r.src] == src_automaton,
             util::cat("event '", label.root, "' emitted by automaton #", src_automaton,
-                      " but routed from entity xi", r->src));
-  if (r->transport == Transport::kWired) {
-    engine.deliver(automaton_of_entity_[r->dst], label_id);
-    return;
-  }
+                      " but routed from entity xi", r.src));
   ++wireless_sends_;
-  network_.send_event(r->src, r->dst, label.root);
+  network_.send_event(r.src, r.dst, label.root);
 }
 
 }  // namespace ptecps::net

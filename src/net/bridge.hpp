@@ -3,12 +3,12 @@
 // The formalism communicates through synchronization labels; the wireless
 // CPS communicates through packets on the star network.  NetEventRouter
 // implements hybrid::EventRouter with a routing table
-//     event root  ->  (source entity, destination entity, transport)
-// Emissions whose root routes over kWireless become packets on the proper
-// uplink/downlink (and may be lost); kWired routes deliver reliably at the
-// same instant (intra-entity / cabled connections, e.g. the SpO2 sensor
-// wired to the supervisor).  Unrouted roots are internal events without
+//     event root  ->  (source entity, destination entity)
+// Every routed emission becomes a packet on the proper uplink/downlink
+// (and may be lost).  Unrouted roots are internal events without
 // receivers (the paper's prefixless labels) and are dropped silently.
+// The table is fixed in two phases: add_route() every route, then
+// attach() re-indexes it by the engine's label ids for the run.
 #pragma once
 
 #include <map>
@@ -20,12 +20,9 @@
 
 namespace ptecps::net {
 
-enum class Transport { kWireless, kWired };
-
 struct EventRoute {
   EntityId src = 0;
   EntityId dst = 0;
-  Transport transport = Transport::kWireless;
 };
 
 class NetEventRouter final : public hybrid::EventRouter {
@@ -33,11 +30,13 @@ class NetEventRouter final : public hybrid::EventRouter {
   /// `automaton_of_entity[e]` is the engine index of entity e's automaton.
   NetEventRouter(StarNetwork& network, std::vector<std::size_t> automaton_of_entity);
 
-  void add_route(const std::string& event_root, EntityId src, EntityId dst,
-                 Transport transport);
+  /// Route `event_root` from entity `src` to entity `dst`.  Throws on a
+  /// duplicate root, a remote-to-remote pair, or a call after attach().
+  void add_route(const std::string& event_root, EntityId src, EntityId dst);
 
-  /// Install delivery callbacks on every network channel and remember the
-  /// engine.  Must be called once, after the engine exists, before run.
+  /// Index the routes by the engine's label ids, install delivery
+  /// callbacks on every network channel and remember the engine.  Must be
+  /// called once, after the last add_route() and before the engine runs.
   void attach(hybrid::Engine& engine);
 
   void route(hybrid::Engine& engine, std::size_t src_automaton,

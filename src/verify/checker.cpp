@@ -207,9 +207,7 @@ struct TraceRec {
   }
 };
 
-/// A step's fixed-size fields: all a stored node keeps of its incoming
-/// step inline (its ops, sends and trace go to the shard's StepLog).
-struct StepInfo {
+struct Step {
   enum class Kind : std::uint8_t {
     kInit,
     kTimed,
@@ -224,9 +222,6 @@ struct StepInfo {
   std::uint32_t automaton = 0;
   std::uint32_t slot = 0;  // deliver: message slot; toggle: toggle index
   hybrid::LabelId root = hybrid::kNoLabel;  // deliver / inject event root
-};
-
-struct Step : StepInfo {
   util::SmallVec<Op, 24> ops;  // invariants + guards + resets, in order
   struct Send {
     std::uint32_t slot = 0;
@@ -242,46 +237,6 @@ struct Outcome {
   DState d;
   Zone z = Zone(0);  // exact (extrapolation happens at emit)
   Step step;
-};
-
-/// Append-only store of the stored nodes' step ops, sends and trace, one
-/// per shard.  Only concretize reads an entry back.
-struct StepLog {
-  /// Where one step's records sit: [ops, ops + n_ops) in `ops`, etc.
-  struct Range {
-    std::uint32_t ops = 0, n_ops = 0;
-    std::uint32_t sends = 0, n_sends = 0;
-    std::uint32_t trace = 0, n_trace = 0;
-  };
-  std::vector<Op> ops;
-  std::vector<Step::Send> sends;
-  std::vector<TraceRec> trace;
-
-  Range append(const Step& s) {
-    PTE_CHECK(ops.size() + s.ops.size() <= UINT32_MAX &&
-                  sends.size() + s.sends.size() <= UINT32_MAX &&
-                  trace.size() + s.trace.size() <= UINT32_MAX,
-              "verify: step log outgrew 32-bit offsets");
-    const Range r{static_cast<std::uint32_t>(ops.size()),
-                  static_cast<std::uint32_t>(s.ops.size()),
-                  static_cast<std::uint32_t>(sends.size()),
-                  static_cast<std::uint32_t>(s.sends.size()),
-                  static_cast<std::uint32_t>(trace.size()),
-                  static_cast<std::uint32_t>(s.trace.size())};
-    ops.insert(ops.end(), s.ops.begin(), s.ops.end());
-    sends.insert(sends.end(), s.sends.begin(), s.sends.end());
-    trace.insert(trace.end(), s.trace.begin(), s.trace.end());
-    return r;
-  }
-
-  Step read(const StepInfo& info, const Range& r) const {
-    Step s;
-    static_cast<StepInfo&>(s) = info;
-    for (std::uint32_t i = 0; i < r.n_ops; ++i) s.ops.push_back(ops[r.ops + i]);
-    for (std::uint32_t i = 0; i < r.n_sends; ++i) s.sends.push_back(sends[r.sends + i]);
-    for (std::uint32_t i = 0; i < r.n_trace; ++i) s.trace.push_back(trace[r.trace + i]);
-    return s;
-  }
 };
 
 struct Node;
@@ -308,34 +263,37 @@ struct Pending {
 /// One stored search state.  `prank`/`ordinal` form the canonical
 /// successor key (parent's global rank, branch ordinal within the
 /// parent's deterministic expansion) that orders every store mutation —
-/// the whole reason results are bit-identical across thread counts.
+/// the whole reason results are bit-identical across thread counts.  A
+/// node keeps no record of its incoming step: concretize re-derives a
+/// path's steps from the root by replaying the ordinals.
 struct Node {
+  static constexpr std::uint32_t kNoToggle = UINT32_MAX;
+
   DState d;
   Zone z;  // settled: exact, or extrapolated by the exact-equality store
   const Node* parent = nullptr;
   std::uint64_t prank = 0;
   std::uint64_t rank = 0;  // global canonical rank within its round
-  StepInfo step;           // the incoming step; the rest is in the shard's log
-  StepLog::Range log;
   std::uint32_t ordinal = 0;
-  std::uint32_t shard = 0;  // whose StepLog holds `log`
-  bool stale = false;       // evicted by a subsuming zone before expansion
+  /// The toggle index of the incoming step if it was a pure input write
+  /// (it settled without firing an edge, constraining the zone, or
+  /// sending), else kNoToggle: see the POR sleep set.
+  std::uint32_t sleep_toggle = kNoToggle;
+  bool stale = false;  // evicted by a subsuming zone before expansion
 
-  Node(Pending&& p, StepLog::Range log_, std::uint32_t shard_)
+  explicit Node(Pending&& p)
       : d(std::move(p.o.d)),
         z(std::move(p.o.z)),
         parent(p.parent),
         prank(p.parent_rank),
-        step(p.o.step),
-        log(log_),
         ordinal(p.ordinal),
-        shard(shard_) {}
+        sleep_toggle(pure_toggle(p.o.step)) {}
 
-  /// Reached by a pure input write: it settled without firing an edge,
-  /// constraining the zone, or sending (see the POR sleep set).
-  bool reached_by_pure_toggle() const {
-    return step.kind == StepInfo::Kind::kToggle && log.n_ops == 0 && log.n_sends == 0 &&
-           log.n_trace == 1;
+ private:
+  static std::uint32_t pure_toggle(const Step& s) {
+    const bool pure = s.kind == Step::Kind::kToggle && s.ops.empty() && s.sends.empty() &&
+                      s.trace.size() == 1;
+    return pure ? s.slot : kNoToggle;
   }
 };
 
@@ -345,13 +303,13 @@ struct Node {
 /// to 4096 nodes, so a small proof reserves little.
 class NodeArena {
  public:
-  Node* emplace(Pending&& p, StepLog::Range log, std::uint32_t shard) {
+  Node* emplace(Pending&& p) {
     if (chunks_.empty() || chunks_.back().size() == chunks_.back().capacity()) {
       chunks_.emplace_back();
       chunks_.back().reserve(std::clamp<std::size_t>(size_, 64, 4096));
     }
     ++size_;
-    return &chunks_.back().emplace_back(std::move(p), log, shard);
+    return &chunks_.back().emplace_back(std::move(p));
   }
   std::size_t size() const { return size_; }
 
@@ -1029,8 +987,8 @@ class Expander {
       // ti-then-tj and tj-then-ti produce identical states and tj stays
       // pure after ti.  Every {ti, tj} endpoint is reached through its
       // ascending order, so only that order is explored.
-      std::size_t sleep_toggle = kNone;
-      if (opt_.por && n.reached_by_pure_toggle()) sleep_toggle = n.step.slot;
+      const std::size_t sleep_toggle =
+          (opt_.por && n.sleep_toggle != Node::kNoToggle) ? n.sleep_toggle : kNone;
       for (std::size_t ti = 0; ti < m_.toggles.size(); ++ti) {
         const CompiledModel::CompiledToggle& tg = m_.toggles[ti];
         if (base.d.input_val[tg.input] == tg.value_index) continue;
@@ -1093,13 +1051,11 @@ class Checker {
     Node* node = nullptr;
   };
 
-  /// Per-worker shard: nodes whose discrete hash maps here, their steps'
-  /// records, their antichain passed/waiting store, and the current/next
-  /// round lists.  Padded so neighboring shards' hot counters don't share
-  /// cache lines.
+  /// Per-worker shard: nodes whose discrete hash maps here, their
+  /// antichain passed/waiting store, and the current/next round lists.
+  /// Padded so neighboring shards' hot counters don't share cache lines.
   struct alignas(64) Shard {
     NodeArena nodes;
-    StepLog log;
     std::unordered_map<DKey, std::vector<AEntry>, DKeyHash> visited;
     std::vector<Node*> round;  // ascending rank
     std::vector<Node*> next;   // ascending (prank, ordinal)
@@ -1136,8 +1092,7 @@ class Checker {
     Shard& shard = shards_[w];
     auto& chain = shard.visited[p.key];
     const auto keep_node = [&] {
-      const StepLog::Range range = shard.log.append(p.o.step);
-      Node* node = shard.nodes.emplace(std::move(p), range, static_cast<std::uint32_t>(w));
+      Node* node = shard.nodes.emplace(std::move(p));
       shard.next.push_back(node);
       return node;
     };
@@ -1336,8 +1291,9 @@ VerifyResult Checker::run() {
             }
             // An expanded node's matrix is never read again (inclusion
             // tests use the antichain's widened copy, counterexamples
-            // replay the recorded ops) — retire it to the pool.  The
-            // exact-equality oracle still needs it for deduplication.
+            // re-derive their zones from the root) — retire it to the
+            // pool.  The exact-equality oracle still needs it for
+            // deduplication.
             if (opt_.subsumption) n->z = Zone(0);
           }
         }
@@ -1391,11 +1347,31 @@ VerifyResult Checker::run() {
 
 Counterexample Checker::concretize(const RoundViolation& rv) {
   const FoundViolation& v = rv.v;
-  // 1. The abstract path: root .. rv.parent, then the violating step.
+  // 1. The abstract path: root .. rv.parent, re-derived, then the
+  //    violating step.  Expansion is deterministic, and on one shard a
+  //    successor's ordinal is its index in the output buffer, so
+  //    replaying each node's ordinal from the root rebuilds the node and
+  //    the step that reached it.  The rebuilt zone is the one the search
+  //    expanded: exact, or extrapolated as the exact-equality store does.
+  std::vector<const Node*> path;
+  for (const Node* n = rv.parent; n != nullptr; n = n->parent) path.push_back(n);
+  std::reverse(path.begin(), path.end());
   std::vector<Step> steps;
-  for (const Node* n = rv.parent; n != nullptr; n = n->parent)
-    steps.push_back(shards_[n->shard].log.read(n->step, n->log));
-  std::reverse(steps.begin(), steps.end());
+  Expander replay(m_, opt_, 1);
+  std::vector<Pending>& out = replay.out()[0];
+  std::optional<Node> at;  // the rebuilt node expanded last
+  for (const Node* n : path) {
+    if (at)
+      replay.expand(&*at);
+    else
+      replay.seed();
+    PTE_CHECK(n->ordinal < out.size() && out[n->ordinal].key == n->d.key(),
+              "verify: a path node's ordinal is not in its re-derived parent's expansion");
+    steps.push_back(out[n->ordinal].o.step);
+    at.emplace(std::move(out[n->ordinal]));
+    if (!opt_.subsumption) at->z.extrapolate(m_.max_constant);
+    out.clear();
+  }
   steps.push_back(v.step);
   const std::size_t k = steps.size();
 

@@ -137,19 +137,19 @@ TEST(SessionTracker, ClosedSessionWithEntityStillOutIsCensoredToo) {
   };
   campaign::SimulationContext ctx(spec, 7);
   const campaign::RunResult r = ctx.execute();
-  const SessionTracker* tracker = ctx.session_tracker();
-  ASSERT_NE(tracker, nullptr);
-  ASSERT_EQ(tracker->session_count(), 1u);
-  const SessionRecord& s = tracker->sessions()[0];
+  const SessionTracker& tracker = ctx.session_tracker();
+  ASSERT_EQ(tracker.session_count(), 1u);
+  EXPECT_EQ(r.session.sessions, 1u);
+  const SessionRecord& s = tracker.sessions()[0];
   EXPECT_TRUE(s.closed());       // the impatient supervisor went home...
   EXPECT_TRUE(s.censored());     // ...but the laser is still out at 40 s
   EXPECT_LT(s.entities_settled, 0.0);
-  EXPECT_EQ(tracker->censored_count(), 1u);
+  EXPECT_EQ(tracker.censored_count(), 1u);
   EXPECT_EQ(r.session.censored_sessions, 1u);
   // The worst-case statistic reports the in-progress reset as a lower
   // bound, not the supervisor's short excursion.
-  EXPECT_NEAR(tracker->max_system_reset(), 40.0 - s.supervisor_left, 1e-6);
-  EXPECT_FALSE(tracker->all_within(10.0));
+  EXPECT_NEAR(tracker.max_system_reset(), 40.0 - s.supervisor_left, 1e-6);
+  EXPECT_FALSE(tracker.all_within(10.0));
 }
 
 TEST(SessionTracker, OpenSessionBeforeFinalizeStillFailsTheCheck) {

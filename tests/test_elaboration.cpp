@@ -325,7 +325,7 @@ TEST_P(ElaborateAnywhere, PatternSafetySurvivesElaboration) {
       ptecps::net::ChannelConfig{0.001, 0.002, 0.0, 0.5});
   ptecps::net::NetEventRouter router(network, built.automaton_of_entity);
   for (const auto& r : built.wireless_routes)
-    router.add_route(r.root, r.src, r.dst, ptecps::net::Transport::kWireless);
+    router.add_route(r.root, r.src, r.dst);
   engine.set_router(&router);
   router.attach(engine);
   ptecps::core::PteMonitor monitor(ptecps::core::MonitorParams::from_config(cfg));

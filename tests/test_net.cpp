@@ -402,11 +402,12 @@ TEST(Bridge, RoutesWirelessAndRejectsWrongSource) {
   StarNetwork net(engine.scheduler(), rng, 1);
   // entity 0 (base) -> automaton 0 (receiver); entity 1 -> automaton 1.
   NetEventRouter router(net, {0, 1});
-  router.add_route("ping", 1, 0, Transport::kWireless);
-  EXPECT_THROW(router.add_route("ping", 0, 1, Transport::kWireless),
-               std::invalid_argument);  // duplicate root
+  router.add_route("ping", 1, 0);
+  EXPECT_THROW(router.add_route("ping", 0, 1), std::invalid_argument);  // duplicate root
   engine.set_router(&router);
   router.attach(engine);
+  // The table is fixed once attached.
+  EXPECT_THROW(router.add_route("pong", 0, 1), std::invalid_argument);
   engine.init();
   engine.run_until(2.0);
   EXPECT_EQ(engine.current_location_name(0), "r1");

@@ -1,11 +1,9 @@
-// Tests for the trace query helpers and the ASCII timeline renderer.
+// Tests for the trace query helpers.
 #include <gtest/gtest.h>
 
 #include "hybrid/automaton.hpp"
 #include "hybrid/engine.hpp"
-#include "hybrid/timeline.hpp"
 #include "hybrid/trace.hpp"
-#include "util/text.hpp"
 
 namespace ptecps::hybrid {
 namespace {
@@ -42,51 +40,6 @@ TEST(TraceQueries, LocationIntervalsReconstructed) {
   EXPECT_DOUBLE_EQ(intervals[0].end, 2.0);
   EXPECT_DOUBLE_EQ(intervals[1].duration(), 3.0);
   EXPECT_DOUBLE_EQ(intervals[4].end, 11.0);
-}
-
-TEST(TraceQueries, RiskyIntervalsMergeContiguous) {
-  Engine engine({make_blinker()});
-  engine.init();
-  engine.run_until(11.0);
-  const auto risky =
-      risky_intervals(engine.trace(), 0, engine.automaton(0), 11.0);
-  ASSERT_EQ(risky.size(), 2u);
-  EXPECT_DOUBLE_EQ(risky[0].begin, 2.0);
-  EXPECT_DOUBLE_EQ(risky[0].end, 5.0);
-  EXPECT_DOUBLE_EQ(risky[1].begin, 7.0);
-}
-
-TEST(Timeline, RendersRiskyBlocksAndRuler) {
-  Engine engine({make_blinker()});
-  engine.init();
-  engine.run_until(10.0);
-  TimelineOptions opt;
-  opt.begin = 0.0;
-  opt.end = 10.0;
-  opt.seconds_per_column = 1.0;
-  opt.label_width = 10;
-  opt.mark_transitions = false;
-  const std::string out = render_timeline(
-      engine.trace(), {&engine.automaton(0)}, {0}, opt);
-  // Row: columns 0..1 safe, 2..4 risky, 5..6 safe, 7..9 risky.
-  const auto lines = util::split(out, '\n');
-  ASSERT_GE(lines.size(), 2u);
-  const std::string& row = lines[1];
-  ASSERT_GE(row.size(), 10u + 10u);
-  EXPECT_EQ(row.substr(10).substr(2, 3), "###");
-  EXPECT_EQ(row[10 + 5], '.');
-  EXPECT_EQ(row.substr(10).substr(7, 3), "###");
-}
-
-TEST(Timeline, RejectsBadOptions) {
-  Engine engine({make_blinker()});
-  engine.init();
-  engine.run_until(1.0);
-  TimelineOptions opt;
-  opt.seconds_per_column = 0.0;
-  EXPECT_THROW(
-      render_timeline(engine.trace(), {&engine.automaton(0)}, {0}, opt),
-      std::invalid_argument);
 }
 
 TEST(Trace, FormatMentionsLocationsAndTimes) {
