@@ -41,10 +41,7 @@ Outcome run_session(const PatternConfig& cfg, double toff, double horizon) {
   net::StarNetwork network(engine.scheduler(), rng, 2);
   network.configure_all([] { return std::make_unique<net::PerfectLink>(); },
                         net::ChannelConfig{0.0, 0.0, 0.0, 0.5});
-  net::NetEventRouter router(network, built.automaton_of_entity);
-  built.install_routes(router);
-  engine.set_router(&router);
-  router.attach(engine);
+  net::NetEventRouter router(network, engine, built.routes);
   PteMonitor monitor(MonitorParams::from_config(PatternConfig::laser_tracheotomy(), 60.0));
   monitor.attach(engine, {0, 1, 2});
   engine.init();

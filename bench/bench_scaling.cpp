@@ -62,10 +62,7 @@ int main(int argc, char** argv) {
     net::StarNetwork network(engine.scheduler(), rng, n);
     network.configure_all([loss] { return std::make_unique<net::BernoulliLoss>(loss); },
                           net::ChannelConfig{0.002, 0.004, 0.0, 0.5});
-    net::NetEventRouter router(network, built.automaton_of_entity);
-    built.install_routes(router);
-    engine.set_router(&router);
-    router.attach(engine);
+    net::NetEventRouter router(network, engine, built.routes);
     PteMonitor monitor(MonitorParams::from_config(cfg));
     std::vector<std::size_t> entity_of(n + 1);
     for (std::size_t i = 0; i <= n; ++i) entity_of[i] = i;

@@ -99,10 +99,7 @@ int main(int argc, char** argv) {
   net::StarNetwork network(engine.scheduler(), rng, 3);
   network.configure_all([loss] { return std::make_unique<net::BernoulliLoss>(loss); },
                         net::ChannelConfig{0.002, 0.004, 0.002, 0.25});
-  net::NetEventRouter router(network, built.automaton_of_entity);
-  built.install_routes(router);
-  engine.set_router(&router);
-  router.attach(engine);
+  net::NetEventRouter router(network, engine, built.routes);
 
   core::PteMonitor monitor(core::MonitorParams::from_config(config));
   monitor.attach(engine, {0, 1, 2, 3});

@@ -58,10 +58,7 @@ int main(int argc, char** argv) {
       [loss] { return std::make_unique<net::BernoulliLoss>(loss); },
       net::ChannelConfig{/*delay=*/0.005, /*jitter=*/0.01, /*bit_error=*/0.01,
                          /*acceptance_window=*/0.5});
-  net::NetEventRouter router(network, built.automaton_of_entity);
-  built.install_routes(router);
-  engine.set_router(&router);
-  router.attach(engine);
+  net::NetEventRouter router(network, engine, built.routes);
 
   core::PteMonitor monitor(core::MonitorParams::from_config(config));
   monitor.attach(engine, {0, 1, 2, 3});

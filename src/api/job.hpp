@@ -89,7 +89,8 @@ struct JobResult {
   std::string scenario;
   /// "proved" / "violation" / "out-of-budget" when the prover ran;
   /// "sampled-clean" / "sampled-violations" for Monte-Carlo-only jobs;
-  /// "error" when the job never produced a campaign.
+  /// "error" when the job never produced a campaign or its prover threw
+  /// (the message is in `errors`).
   std::string verdict;
   std::optional<verify::VerifyStatus> proof_status;
   /// The expectation in force (job's, or the scenario's own), and

@@ -65,15 +65,21 @@ JobResult carve_result(campaign::ScenarioOutcome outcome, const campaign::Campai
   sub.total_violations = outcome.total_violations;
   sub.failed_runs = outcome.failed_runs;
   sub.censored_sessions = outcome.censored_sessions;
-  // The campaign names each error "<scenario>[<seed>|verify]: ...".
-  for (const std::string& e : fresh.errors)
-    if (e.starts_with(outcome.name) && e.compare(outcome.name.size(), 1, "[") == 0)
-      sub.errors.push_back(e);
+  // The campaign names each error "<scenario>[<seed>|verify]: ...".  A
+  // prover that threw left no verification: the job's verdict is that error.
+  const std::string prover_fault = outcome.name + "[verify]: ";
+  for (const std::string& e : fresh.errors) {
+    if (!e.starts_with(outcome.name) || e.compare(outcome.name.size(), 1, "[") != 0) continue;
+    sub.errors.push_back(e);
+    if (e.starts_with(prover_fault)) result.errors.push_back(e);
+  }
   if (outcome.verification.has_value()) {
     result.proof_status = outcome.verification->status;
     result.verdict = verify::verify_status_str(*result.proof_status);
     if (*result.proof_status == verify::VerifyStatus::kProved) sub.specs_proved = 1;
     if (outcome.verification->counterexample.has_value()) sub.specs_with_counterexample = 1;
+  } else if (!result.errors.empty()) {
+    result.verdict = "error";
   } else {
     result.verdict = outcome.total_violations > 0 ? "sampled-violations" : "sampled-clean";
   }

@@ -1,5 +1,6 @@
 #include "campaign/context.hpp"
 
+#include "core/deployment.hpp"
 #include "core/events.hpp"
 #include "net/loss_model.hpp"
 #include "util/require.hpp"
@@ -10,12 +11,10 @@ namespace {
 
 /// Build the spec's pattern system and compile its automata.
 ScenarioPrototype compile_prototype(const ScenarioSpec& spec) {
-  ScenarioPrototype proto;
-  proto.built = core::build_pattern_system(spec.config, spec.approval, spec.with_lease,
-                                           spec.deadline_wait);
-  proto.system = hybrid::compile_system(std::move(proto.built.automata));
-  proto.built.automata.clear();
-  return proto;
+  core::BuiltSystem built = core::build_pattern_system(spec.config, spec.approval,
+                                                       spec.with_lease, spec.deadline_wait);
+  return ScenarioPrototype{hybrid::compile_system(std::move(built.automata)),
+                           std::move(built.routes)};
 }
 
 }  // namespace
@@ -40,10 +39,8 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
     standalone = compile_prototype(spec);
     prototype = &standalone;
   }
-  const core::BuiltSystem& built = prototype->built;
   hybrid::EngineOptions engine_options;
   engine_options.record_trace = spec.record_trace;
-  automaton_of_entity_ = built.automaton_of_entity;
   engine_ = std::make_unique<hybrid::Engine>(prototype->system, engine_options);
 
   network_ = std::make_unique<net::StarNetwork>(engine_->scheduler(), rng_,
@@ -55,10 +52,7 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
   network_->configure_all(factory, spec.channel);
   if (spec.configure_links) spec.configure_links(*network_, seed);
 
-  router_ = std::make_unique<net::NetEventRouter>(*network_, automaton_of_entity_);
-  built.install_routes(*router_);
-  engine_->set_router(router_.get());
-  router_->attach(*engine_);
+  router_ = std::make_unique<net::NetEventRouter>(*network_, *engine_, prototype->routes);
 
   const core::PatternConfig& monitor_config =
       spec.monitor_config ? *spec.monitor_config : spec.config;
@@ -75,8 +69,8 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
       *engine_, core::SessionTracker::fall_back_sets(*engine_, {}));
 
   // Lease-expiry forced stops (evtToStop emissions) per entity.  Match by
-  // interned id — one integer compare per candidate instead of string
-  // compares on every emission.
+  // the interned id the engine hands every observer — integer compares
+  // per emission, no string hashed or compared.
   lease_stops_.assign(spec.config.n_remotes + 1, 0);
   std::vector<std::pair<hybrid::LabelId, std::size_t>> stop_ids;
   for (std::size_t i = 1; i <= spec.config.n_remotes; ++i) {
@@ -85,8 +79,8 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
   }
   if (!stop_ids.empty()) {
     engine_->add_emit_observer([this, stop_ids = std::move(stop_ids)](
-                                   std::size_t, sim::SimTime, const hybrid::SyncLabel& label) {
-      const hybrid::LabelId id = engine_->label_id(label.root);
+                                   std::size_t, sim::SimTime, const hybrid::SyncLabel&,
+                                   hybrid::LabelId id) {
       for (const auto& [stop_id, entity] : stop_ids) {
         if (id == stop_id) {
           ++lease_stops_[entity];
@@ -100,8 +94,8 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
 }
 
 std::size_t SimulationContext::automaton_of(net::EntityId entity) const {
-  PTE_REQUIRE(entity < automaton_of_entity_.size(), "entity id out of range");
-  return automaton_of_entity_[entity];
+  PTE_REQUIRE(entity <= spec_.config.n_remotes, "entity id out of range");
+  return entity;
 }
 
 void SimulationContext::inject(net::EntityId entity, const std::string& root) {

@@ -9,17 +9,19 @@
 //
 // For campaigns the per-run construction cost matters: a ScenarioPrototype
 // builds, validates and compiles a spec's system once (automata, label
-// table, per-location edge tables, routing table), and every run's engine
-// shares that compiled system read-only.  A run copies no automaton and
-// interns no label; starting its engine costs one refcount bump.
+// table, per-location edge tables) and keeps its route list, and every
+// run's engine shares that compiled system read-only.  A run copies no
+// automaton, interns no label and copies no route: starting its engine
+// costs one refcount bump, and its router only builds the dense
+// label-id index over the prototype's routes.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "campaign/scenario.hpp"
 #include "core/analysis.hpp"
-#include "core/deployment.hpp"
 #include "hybrid/engine.hpp"
 #include "net/bridge.hpp"
 #include "net/star_network.hpp"
@@ -32,9 +34,8 @@ namespace ptecps::campaign {
 struct ScenarioPrototype {
   /// The automata and every table the engine derives from them.
   std::shared_ptr<const hybrid::CompiledSystem> system;
-  /// The routing table and entity map (`built.automata` is empty: the
-  /// automata moved into `system`).
-  core::BuiltSystem built;
+  /// The wireless routes every run's router indexes.
+  std::vector<net::Route> routes;
 
   /// Rejects custom_run specs, which build their own systems.
   static std::shared_ptr<const ScenarioPrototype> build(const ScenarioSpec& spec);
@@ -83,12 +84,13 @@ class SimulationContext {
   RunResult collect();
 
  private:
+  /// Entity `entity`'s automaton (entity e runs automaton e); throws on
+  /// an entity the spec lacks, since scripts name entities from documents.
   std::size_t automaton_of(net::EntityId entity) const;
 
   const ScenarioSpec& spec_;
   std::uint64_t seed_;
   sim::Rng rng_;
-  std::vector<std::size_t> automaton_of_entity_;
   std::unique_ptr<hybrid::Engine> engine_;
   std::unique_ptr<net::StarNetwork> network_;
   std::unique_ptr<net::NetEventRouter> router_;

@@ -152,8 +152,9 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
         vo.replay_detail = rr.summary();
       }
     } catch (const std::exception& e) {
+      // A prover fault is an error, not a verdict: the spec gets none.
       verify_errors.push_back(util::cat(spec.name, "[verify]: ", e.what()));
-      vo.status = verify::VerifyStatus::kOutOfBudget;
+      continue;
     }
     vo.wall_seconds = seconds_since(t0);
     verifications[si] = std::move(vo);

@@ -65,7 +65,8 @@ struct ScenarioOutcome {
   double wall_mean_s = 0.0;
   double wall_p50_s = 0.0;
   double wall_p99_s = 0.0;
-  /// Present when the spec ran in kVerify / kBoth mode.
+  /// Present when the spec ran in kVerify / kBoth mode and the prover
+  /// returned; a prover that threw leaves it empty and a "[verify]" error.
   std::optional<VerificationOutcome> verification;
 };
 
@@ -82,11 +83,12 @@ struct CampaignReport {
   double wall_seconds = 0.0;   // whole campaign
   double runs_per_second = 0.0;
 
-  /// Errors from runs that threw: "scenario[seed]: what()".
+  /// Errors from runs that threw, "scenario[seed]: what()", and from
+  /// provers that threw, "scenario[verify]: what()".
   std::vector<std::string> errors;
 
-  /// True iff nothing failed: no run threw and no verification ran out
-  /// of budget (bench mains turn this into their exit code).
+  /// True iff nothing failed: no run or prover threw and no verification
+  /// ran out of budget (bench mains turn this into their exit code).
   bool ok() const;
 
   /// Machine-readable report on the shared JSON layer (api::JobResult

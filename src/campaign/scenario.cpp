@@ -37,24 +37,18 @@ verify::VerifyInput ScenarioSpec::verify_input() const {
   core::BuiltSystem built =
       core::build_pattern_system(config, approval, with_lease, deadline_wait);
 
+  // Entity e runs automaton e, so an entity id is an automaton index.
   verify::VerifyInput input;
-  // Routes first (the BuiltSystem's table is entity-indexed; the verifier
-  // wants automaton indices).
-  for (const auto& r : built.wireless_routes) {
-    input.routes.push_back(verify::VerifyInput::Route{
-        r.root, built.automaton_of_entity[r.src], built.automaton_of_entity[r.dst], true});
-  }
+  for (net::Route& r : built.routes)
+    input.routes.push_back(verify::VerifyInput::Route{std::move(r.root), r.src, r.dst});
   input.automata = std::move(built.automata);
 
   const core::PatternConfig& mon_config = monitor_config ? *monitor_config : config;
   input.monitor = core::MonitorParams::from_config(mon_config, dwell_bound);
-  input.entity_of_automaton.resize(input.automata.size());
-  for (std::size_t e = 0; e < built.automaton_of_entity.size(); ++e)
-    input.entity_of_automaton[built.automaton_of_entity[e]] = e;
 
   // Adversary stimuli: the initializer's human commands by default.
   const std::size_t n = config.n_remotes;
-  const std::size_t initializer = built.automaton_of_entity[n];
+  const std::size_t initializer = n;
   if (verify.stimuli_roots.empty()) {
     input.stimuli.push_back({initializer, core::events::cmd_request(n)});
     input.stimuli.push_back({initializer, core::events::cmd_cancel(n)});
@@ -67,14 +61,12 @@ verify::VerifyInput ScenarioSpec::verify_input() const {
   // and every participant's ParticipationCondition may collapse below
   // their thresholds (and the approval may recover) at any instant —
   // this is what reaches the Abort / LeaseDeny paths exhaustively.
-  const std::size_t supervisor = built.automaton_of_entity[0];
+  const std::size_t supervisor = 0;
   input.toggles.push_back({supervisor, approval.var_name, approval.threshold - 1.0});
   input.toggles.push_back({supervisor, approval.var_name, approval.init});
   const core::ParticipationSpec participation;
-  for (std::size_t i = 1; i < n; ++i) {
-    input.toggles.push_back({built.automaton_of_entity[i], participation.var_name,
-                             participation.threshold - 1.0});
-  }
+  for (std::size_t i = 1; i < n; ++i)
+    input.toggles.push_back({i, participation.var_name, participation.threshold - 1.0});
 
   // Delivery window: each bound resolves independently — explicit, or
   // derived from the channel (any delay from the base propagation up to

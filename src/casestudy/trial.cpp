@@ -54,10 +54,7 @@ LaserTracheotomySystem::LaserTracheotomySystem(TrialOptions options)
   const net::StarNetwork::LossFactory factory =
       options_.loss_factory ? options_.loss_factory : default_interference_loss();
   network_->configure_all(factory, options_.channel);
-  router_ = std::make_unique<net::NetEventRouter>(*network_, built.automaton_of_entity);
-  built.install_routes(*router_);
-  engine_->set_router(router_.get());
-  router_->attach(*engine_);
+  router_ = std::make_unique<net::NetEventRouter>(*network_, *engine_, built.routes);
 
   // --- monitor (must observe the initial transitions).
   monitor_ = std::make_unique<core::PteMonitor>(
@@ -83,9 +80,11 @@ LaserTracheotomySystem::LaserTracheotomySystem(TrialOptions options)
     }
   });
   engine_->add_emit_observer(
-      [this](std::size_t, sim::SimTime, const hybrid::SyncLabel& label) {
-        if (label.root == core::events::to_stop(2)) ++evt_to_stop_;
-        if (label.root == core::events::to_stop(1)) ++vent_to_stop_;
+      [this, scalpel_stop = engine_->label_id(core::events::to_stop(2)),
+       vent_stop = engine_->label_id(core::events::to_stop(1))](
+          std::size_t, sim::SimTime, const hybrid::SyncLabel&, hybrid::LabelId id) {
+        if (id == scalpel_stop) ++evt_to_stop_;
+        if (id == vent_stop) ++vent_to_stop_;
       });
 
   // --- ventilation predicate: the pump runs iff the cylinder moves, i.e.

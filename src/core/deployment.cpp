@@ -5,11 +5,6 @@
 
 namespace ptecps::core {
 
-void BuiltSystem::install_routes(net::NetEventRouter& router) const {
-  for (const auto& r : wireless_routes)
-    router.add_route(r.root, r.src, r.dst);
-}
-
 BuiltSystem build_pattern_system(const PatternConfig& config, const ApprovalSpec& approval,
                                  bool with_lease, bool deadline_wait) {
   const std::size_t n = config.n_remotes;
@@ -20,15 +15,12 @@ BuiltSystem build_pattern_system(const PatternConfig& config, const ApprovalSpec
   for (std::size_t i = 1; i < n; ++i)
     sys.automata.push_back(make_participant(config, i, ParticipationSpec{}, with_lease));
   sys.automata.push_back(make_initializer(config, with_lease));
-  for (std::size_t e = 0; e <= n; ++e) sys.automaton_of_entity.push_back(e);
 
   auto up = [&sys](const std::string& root, std::size_t i) {
-    sys.wireless_routes.push_back(
-        BuiltSystem::Route{root, static_cast<net::EntityId>(i), net::kBaseStation});
+    sys.routes.push_back(net::Route{root, static_cast<net::EntityId>(i), net::kBaseStation});
   };
   auto down = [&sys](const std::string& root, std::size_t i) {
-    sys.wireless_routes.push_back(
-        BuiltSystem::Route{root, net::kBaseStation, static_cast<net::EntityId>(i)});
+    sys.routes.push_back(net::Route{root, net::kBaseStation, static_cast<net::EntityId>(i)});
   };
 
   for (std::size_t i = 1; i < n; ++i) {

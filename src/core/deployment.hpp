@@ -2,6 +2,12 @@
 // pattern automata for ξ0..ξN plus the wireless routing table for the
 // star network (which event root travels on which uplink/downlink).
 //
+// Entity ξe runs automata[e]: the supervisor is automaton 0, remote ξi
+// is automaton i.  This is the one place that fixes the correspondence;
+// the router (net::NetEventRouter), the monitor wiring, the prover's
+// routes and the campaign's scripting helpers all rely on it, so none of
+// them carries an entity-to-automaton map.
+//
 // This is the "turn the design pattern into a running system" entry
 // point used by the examples and the case study.  Participants can be
 // elaborated afterwards (hybrid::elaborate) — elaboration preserves
@@ -9,7 +15,6 @@
 // table and monitor wiring remain valid (Theorem 2).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "core/config.hpp"
@@ -22,19 +27,8 @@ struct BuiltSystem {
   /// automata[0] = ξ0 (Supervisor), automata[i] = ξi; i = 1..N-1
   /// Participants, automata[N] = the Initializer.
   std::vector<hybrid::Automaton> automata;
-  /// Entity e's automaton index in `automata` (identity here, but kept
-  /// explicit for NetEventRouter's constructor).
-  std::vector<std::size_t> automaton_of_entity;
-
-  struct Route {
-    std::string root;
-    net::EntityId src;
-    net::EntityId dst;
-  };
-  std::vector<Route> wireless_routes;
-
-  /// Register every wireless route on `router`.
-  void install_routes(net::NetEventRouter& router) const;
+  /// Every wireless route, as net::NetEventRouter takes them.
+  std::vector<net::Route> routes;
 };
 
 /// Build the N+1 pattern automata and the routing table.  `deadline_wait`

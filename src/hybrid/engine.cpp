@@ -275,7 +275,7 @@ void Engine::fire_edge(std::size_t a, EdgeId ei) {
     const SyncLabel& label = e.emits[k];
     if (options_.record_trace)
       record(TraceRecord{cont_time_, a, TraceKind::kEmit, from, e.dst, label.str(), 0.0});
-    for (const auto& obs : emit_observers_) obs(a, cont_time_, label);
+    for (const auto& obs : emit_observers_) obs(a, cont_time_, label, info.emits[k]);
     router_->route(*this, a, label, info.emits[k]);
   }
   settle_conditions(a);

@@ -125,8 +125,9 @@ class Engine {
                                                 const std::string&)>;
   void add_transition_observer(TransitionObserver observer);
 
-  /// Observer of every label emission (after routing).
-  using EmitObserver = std::function<void(std::size_t, sim::SimTime, const SyncLabel&)>;
+  /// Observer of every label emission, called just before routing:
+  /// (automaton, time, label, the label's interned id as the router gets it).
+  using EmitObserver = std::function<void(std::size_t, sim::SimTime, const SyncLabel&, LabelId)>;
   void add_emit_observer(EmitObserver observer);
 
   /// Enter all initial locations at t = 0 (schedules initial timeouts and

@@ -7,11 +7,15 @@
 // Every routed emission becomes a packet on the proper uplink/downlink
 // (and may be lost).  Unrouted roots are internal events without
 // receivers (the paper's prefixless labels) and are dropped silently.
-// The table is fixed in two phases: add_route() every route, then
-// attach() re-indexes it by the engine's label ids for the run.
+// Entity e runs the engine's automaton e (core/deployment.hpp), so a
+// packet for entity e is delivered to automaton e.
+//
+// The router is built in one step from its route list: construction
+// checks every route, indexes it by the engine's label ids and wires the
+// channels, and the table never changes afterwards.
 #pragma once
 
-#include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -20,24 +24,26 @@
 
 namespace ptecps::net {
 
-struct EventRoute {
+/// Event `root` travels from entity `src` to entity `dst`.
+struct Route {
+  std::string root;
   EntityId src = 0;
   EntityId dst = 0;
 };
 
 class NetEventRouter final : public hybrid::EventRouter {
  public:
-  /// `automaton_of_entity[e]` is the engine index of entity e's automaton.
-  NetEventRouter(StarNetwork& network, std::vector<std::size_t> automaton_of_entity);
-
-  /// Route `event_root` from entity `src` to entity `dst`.  Throws on a
-  /// duplicate root, a remote-to-remote pair, or a call after attach().
-  void add_route(const std::string& event_root, EntityId src, EntityId dst);
-
-  /// Index the routes by the engine's label ids, install delivery
-  /// callbacks on every network channel and remember the engine.  Must be
-  /// called once, after the last add_route() and before the engine runs.
-  void attach(hybrid::Engine& engine);
+  /// Route every entry of `routes` over `network`, index the routes by
+  /// `engine`'s label ids, install delivery callbacks on every channel
+  /// and become `engine`'s router (call before engine.init()).  Throws on
+  /// a root routed twice or a pair the network has no link for (remote
+  /// to remote, or a remote it lacks).  Roots no automaton uses can never
+  /// be emitted and are dropped.  The engine must run one automaton per
+  /// entity; the router keeps references to it and to the network.
+  NetEventRouter(StarNetwork& network, hybrid::Engine& engine, std::span<const Route> routes);
+  /// The channels and the engine hold this router's address.
+  NetEventRouter(const NetEventRouter&) = delete;
+  NetEventRouter& operator=(const NetEventRouter&) = delete;
 
   void route(hybrid::Engine& engine, std::size_t src_automaton,
              const hybrid::SyncLabel& label, hybrid::LabelId label_id) override;
@@ -47,18 +53,16 @@ class NetEventRouter final : public hybrid::EventRouter {
 
  private:
   struct DenseRoute {
-    EventRoute route;
+    EntityId src = 0;
+    EntityId dst = 0;
     bool active = false;
   };
 
   StarNetwork& network_;
-  std::vector<std::size_t> automaton_of_entity_;
-  std::map<std::string, EventRoute> routes_;
-  /// routes_ re-indexed by the engine's interned LabelId (built in
-  /// attach()): the per-emission lookup is an array index, not a
-  /// string-keyed tree walk.
+  hybrid::Engine& engine_;
+  /// The routes indexed by the engine's interned LabelId: the
+  /// per-emission lookup is an array index.
   std::vector<DenseRoute> dense_routes_;
-  hybrid::Engine* engine_ = nullptr;
   std::uint64_t wireless_sends_ = 0;
 };
 

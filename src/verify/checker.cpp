@@ -710,12 +710,12 @@ class Expander {
     o.d.loc[a] = static_cast<std::uint32_t>(e.dst);
     apply_reset(o, m_.clocks.dwell(a));
 
-    const std::size_t entity = m_.entity_of_automaton[a];
-    if (entity > 0 && was_risky != is_risky) {
+    // Entity e runs automaton e; the supervisor (0) is no PTE entity.
+    if (a > 0 && was_risky != is_risky) {
       if (is_risky)
-        entity_enter_risky(o, entity);
+        entity_enter_risky(o, a);
       else
-        entity_exit_risky(o, entity);
+        entity_exit_risky(o, a);
     }
 
     if (e.emits.empty()) {
@@ -725,46 +725,33 @@ class Expander {
     std::vector<Outcome> cur;
     cur.push_back(std::move(o));
     for (const CompiledEdge::Emit& emit : e.emits) {
+      if (!emit.routed) continue;  // internal event, no receivers
       std::vector<Outcome> next;
       for (Outcome& oc : cur) {
-        switch (emit.route) {
-          case CompiledEdge::Emit::Route::kNone:
-            next.push_back(std::move(oc));
-            break;
-          case CompiledEdge::Emit::Route::kWired: {
-            dispatch_sym(std::move(oc), emit.dst_automaton, emit.label, depth + 1, next);
-            break;
-          }
-          case CompiledEdge::Emit::Route::kWireless: {
-            if (oc.d.losses < opt_.max_losses) {
-              Outcome lost = oc;
-              ++lost.d.losses;
-              lost.step.sends.push_back(
-                  Step::Send{0, static_cast<std::uint32_t>(emit.dst_automaton), emit.label,
-                             true});
-              lost.step.trace.push_back(TraceRec::send(emit.label, true));
-              next.push_back(std::move(lost));
-            }
-            std::size_t slot = kNone;
-            for (std::size_t s = 0; s < oc.d.slots.size(); ++s) {
-              if (!slot_active(oc.d.slots[s])) {
-                slot = s;
-                break;
-              }
-            }
-            PTE_REQUIRE(slot != kNone,
-                        "verify: too many concurrent in-flight messages — raise "
-                        "max_in_flight");
-            oc.d.slots[slot] = make_slot(emit.label, emit.dst_automaton);
-            apply_reset(oc, m_.clocks.msg(slot));
-            oc.step.sends.push_back(Step::Send{static_cast<std::uint32_t>(slot),
-                                               static_cast<std::uint32_t>(emit.dst_automaton),
-                                               emit.label, false});
-            oc.step.trace.push_back(TraceRec::send(emit.label, false));
-            next.push_back(std::move(oc));
+        if (oc.d.losses < opt_.max_losses) {
+          Outcome lost = oc;
+          ++lost.d.losses;
+          lost.step.sends.push_back(
+              Step::Send{0, static_cast<std::uint32_t>(emit.dst_automaton), emit.label, true});
+          lost.step.trace.push_back(TraceRec::send(emit.label, true));
+          next.push_back(std::move(lost));
+        }
+        std::size_t slot = kNone;
+        for (std::size_t s = 0; s < oc.d.slots.size(); ++s) {
+          if (!slot_active(oc.d.slots[s])) {
+            slot = s;
             break;
           }
         }
+        PTE_REQUIRE(slot != kNone,
+                    "verify: too many concurrent in-flight messages — raise max_in_flight");
+        oc.d.slots[slot] = make_slot(emit.label, emit.dst_automaton);
+        apply_reset(oc, m_.clocks.msg(slot));
+        oc.step.sends.push_back(Step::Send{static_cast<std::uint32_t>(slot),
+                                           static_cast<std::uint32_t>(emit.dst_automaton),
+                                           emit.label, false});
+        oc.step.trace.push_back(TraceRec::send(emit.label, false));
+        next.push_back(std::move(oc));
       }
       cur = std::move(next);
     }
@@ -848,10 +835,8 @@ class Expander {
 
     // Engine::init(): enter all initial locations (monitor observes risky
     // initial locations), then settle each automaton in index order.
-    for (std::size_t a = 0; a < m_.automata.size(); ++a) {
-      const std::size_t entity = m_.entity_of_automaton[a];
-      if (entity > 0 && m_.automata[a].locations[o.d.loc[a]].risky)
-        entity_enter_risky(o, entity);
+    for (std::size_t a = 1; a < m_.automata.size(); ++a) {
+      if (m_.automata[a].locations[o.d.loc[a]].risky) entity_enter_risky(o, a);
     }
     std::vector<Outcome> cur;
     cur.push_back(std::move(o));

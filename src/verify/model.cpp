@@ -71,15 +71,13 @@ std::vector<VarInfo> classify_vars(const hybrid::Automaton& aut) {
 }  // namespace
 
 CompiledModel compile_model(const VerifyInput& input, std::size_t max_in_flight) {
-  PTE_REQUIRE(!input.automata.empty(), "verify: no automata");
-  PTE_REQUIRE(input.entity_of_automaton.size() == input.automata.size(),
-              "verify: need an entity id (or 0) per automaton");
   PTE_REQUIRE(input.monitor.n_entities >= 2, "verify: PTE needs at least two entities");
+  PTE_REQUIRE(input.automata.size() == input.monitor.n_entities + 1,
+              "verify: need the supervisor plus one automaton per PTE entity");
   PTE_REQUIRE(max_in_flight >= 1, "verify: need at least one message slot");
 
   CompiledModel model;
   model.monitor = input.monitor;
-  model.entity_of_automaton = input.entity_of_automaton;
   model.max_in_flight = max_in_flight;
   model.delivery_min = input.delivery_min;
   model.delivery_max = input.delivery_max;
@@ -310,8 +308,7 @@ CompiledModel compile_model(const VerifyInput& input, std::size_t max_in_flight)
           PTE_REQUIRE(it->second->src_automaton == a,
                       util::cat("verify: '", emit.root, "' emitted by '", aut.name(),
                                 "' but routed from automaton #", it->second->src_automaton));
-          em.route = it->second->wireless ? CompiledEdge::Emit::Route::kWireless
-                                          : CompiledEdge::Emit::Route::kWired;
+          em.routed = true;
           em.dst_automaton = it->second->dst_automaton;
         }
         ce.emits.push_back(std::move(em));

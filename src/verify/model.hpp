@@ -43,21 +43,22 @@ namespace ptecps::verify {
 /// What to verify: the automaton network, its event routing, the PTE
 /// parameters to check, and the environment (stimuli, channel bounds).
 struct VerifyInput {
+  /// automata[e] runs PTE entity e (core/deployment.hpp): automaton 0 is
+  /// the supervisor, automata 1..N the entities the rules order, so there
+  /// are exactly monitor.n_entities + 1 of them.
   std::vector<hybrid::Automaton> automata;
 
+  /// Every route is wireless: a send may be lost or delayed within the
+  /// delivery window (the star network has no other link).
   struct Route {
     std::string root;
     std::size_t src_automaton = 0;
     std::size_t dst_automaton = 0;
-    bool wireless = true;  // false: reliable same-instant delivery
   };
   std::vector<Route> routes;
 
   /// PTE rule parameters (same struct the runtime monitor uses).
   core::MonitorParams monitor;
-  /// entity_of_automaton[a] = PTE entity index 1..N, or 0 (supervisor /
-  /// non-entity).  Same convention as PteMonitor::attach.
-  std::vector<std::size_t> entity_of_automaton;
 
   /// Environment stimuli the adversary may inject (Engine::inject
   /// equivalents), each drawing on the checker's injection budget.
@@ -126,7 +127,7 @@ struct CompiledEdge {
   struct Emit {
     hybrid::LabelId label = hybrid::kNoLabel;  // model-interned root
     std::string root;
-    enum class Route { kNone, kWireless, kWired } route = Route::kNone;
+    bool routed = false;  // a wireless route carries it to dst_automaton
     std::size_t dst_automaton = 0;
   };
   std::vector<Emit> emits;
@@ -178,8 +179,7 @@ struct CompiledModel {
   };
   std::vector<DeadlineVar> deadlines;
 
-  core::MonitorParams monitor;
-  std::vector<std::size_t> entity_of_automaton;
+  core::MonitorParams monitor;  // automaton e runs entity e
 
   struct CompiledStimulus {
     std::size_t automaton = 0;

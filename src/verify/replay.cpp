@@ -1,7 +1,6 @@
 #include "verify/replay.hpp"
 
-#include <map>
-#include <memory>
+#include <numeric>
 
 #include "hybrid/engine.hpp"
 #include "util/require.hpp"
@@ -15,22 +14,17 @@ namespace {
 /// model: the k-th wireless emission takes the k-th recorded decision.
 class ScriptRouter final : public hybrid::EventRouter {
  public:
-  ScriptRouter(const VerifyInput& input, const Counterexample& cx) : cx_(cx) {
-    for (const auto& r : input.routes)
-      routes_.emplace(r.root, std::make_pair(r.wireless, r.dst_automaton));
+  ScriptRouter(const hybrid::Engine& engine, const VerifyInput& input, const Counterexample& cx)
+      : cx_(cx), routed_(engine.labels().size(), false) {
+    for (const auto& r : input.routes) {
+      const hybrid::LabelId id = engine.label_id(r.root);
+      if (id != hybrid::kNoLabel) routed_[id] = true;
+    }
   }
 
-  void route(hybrid::Engine& engine, std::size_t src_automaton,
-             const hybrid::SyncLabel& label, hybrid::LabelId label_id) override {
-    (void)src_automaton;
-    (void)label_id;
-    const auto it = routes_.find(label.root);
-    if (it == routes_.end()) return;  // internal event, no receivers
-    const auto [wireless, dst] = it->second;
-    if (!wireless) {
-      engine.deliver(dst, label.root);
-      return;
-    }
+  void route(hybrid::Engine& engine, std::size_t, const hybrid::SyncLabel& label,
+             hybrid::LabelId label_id) override {
+    if (!routed_[label_id]) return;  // internal event, no receivers
     const std::size_t k = next_send_++;
     if (k >= cx_.sends.size() || cx_.sends[k].root != label.root) {
       ++unmatched_;
@@ -49,7 +43,7 @@ class ScriptRouter final : public hybrid::EventRouter {
 
  private:
   const Counterexample& cx_;
-  std::map<std::string, std::pair<bool, std::size_t>> routes_;
+  std::vector<bool> routed_;  // [label id]
   std::size_t next_send_ = 0;
   std::size_t unmatched_ = 0;
 };
@@ -70,11 +64,13 @@ std::string ReplayResult::summary() const {
 
 ReplayResult replay_counterexample(const VerifyInput& input, const Counterexample& cx) {
   hybrid::Engine engine(input.automata);
-  ScriptRouter router(input, cx);
+  ScriptRouter router(engine, input, cx);
   engine.set_router(&router);
 
   core::PteMonitor monitor(input.monitor);
-  monitor.attach(engine, input.entity_of_automaton);
+  std::vector<std::size_t> entity_of(input.automata.size());
+  std::iota(entity_of.begin(), entity_of.end(), 0);  // automaton e runs entity e
+  monitor.attach(engine, std::move(entity_of));
   engine.init();
 
   for (const auto& inj : cx.injections) {

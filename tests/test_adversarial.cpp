@@ -55,10 +55,7 @@ RunOutcome run_session(std::uint64_t mask, std::size_t bits, double toff) {
   net::StarNetwork network(engine.scheduler(), rng, 2);
   network.configure_all([&state] { return std::make_unique<SharedScheduleLoss>(state); },
                         net::ChannelConfig{0.0, 0.0, 0.0, 0.5});
-  net::NetEventRouter router(network, built.automaton_of_entity);
-  built.install_routes(router);
-  engine.set_router(&router);
-  router.attach(engine);
+  net::NetEventRouter router(network, engine, built.routes);
   PteMonitor monitor(MonitorParams::from_config(cfg));
   monitor.attach(engine, {0, 1, 2});
   engine.init();
@@ -139,10 +136,7 @@ TEST_P(DualSessionSchedules, BackToBackSessionsStaySafe) {
     net::StarNetwork network(engine.scheduler(), rng, 2);
     network.configure_all([&state] { return std::make_unique<SharedScheduleLoss>(state); },
                           net::ChannelConfig{0.0, 0.0, 0.0, 0.5});
-    net::NetEventRouter router(network, built.automaton_of_entity);
-    built.install_routes(router);
-    engine.set_router(&router);
-    router.attach(engine);
+    net::NetEventRouter router(network, engine, built.routes);
     PteMonitor monitor(MonitorParams::from_config(cfg));
     monitor.attach(engine, {0, 1, 2});
     engine.init();
@@ -186,10 +180,7 @@ TEST(Fuzz, SynthesizedConfigsUnderRandomLossNeverViolate) {
     net::StarNetwork network(engine.scheduler(), rng, cfg.n_remotes);
     network.configure_all([p] { return std::make_unique<net::BernoulliLoss>(p); },
                           net::ChannelConfig{0.002, 0.01, 0.001, 0.5});
-    net::NetEventRouter router(network, built.automaton_of_entity);
-    built.install_routes(router);
-    engine.set_router(&router);
-    router.attach(engine);
+    net::NetEventRouter router(network, engine, built.routes);
     PteMonitor monitor(MonitorParams::from_config(cfg));
     std::vector<std::size_t> entity_of(cfg.n_remotes + 1);
     for (std::size_t i = 0; i <= cfg.n_remotes; ++i) entity_of[i] = i;

@@ -37,10 +37,7 @@ struct TrackedHarness {
           return std::make_unique<net::BernoulliLoss>(loss);
         },
         net::ChannelConfig{0.0, 0.0, 0.0, 0.5});
-    router = std::make_unique<net::NetEventRouter>(*network, built.automaton_of_entity);
-    built.install_routes(*router);
-    engine->set_router(router.get());
-    router->attach(*engine);
+    router = std::make_unique<net::NetEventRouter>(*network, *engine, built.routes);
     tracker = std::make_unique<SessionTracker>(
         *engine, SessionTracker::fall_back_sets(*engine, {}));
     engine->init();

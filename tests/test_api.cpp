@@ -335,6 +335,25 @@ TEST(Service, UnknownScenarioIsAnErrorResultNotAThrow) {
   EXPECT_FALSE(result.report.has_value());
 }
 
+TEST(Service, AProverFaultIsAnErrorNotOutOfBudget) {
+  // An explicit empty delivery window makes the prover throw.
+  auto doc = scenarios::export_document(*scenarios::find_scenario("laser-tracheotomy"));
+  doc.params.mode = campaign::RunMode::kVerify;
+  doc.params.verify.delivery_min = 5.0;
+  doc.params.verify.delivery_max = 1.0;
+  const campaign::CampaignReport report =
+      campaign::CampaignRunner().run(scenarios::build(doc.params));
+  EXPECT_FALSE(report.scenarios[0].verification.has_value());
+  EXPECT_FALSE(report.ok());
+
+  const api::JobResult result = api::Service().run(api::Job::for_document(doc));
+  EXPECT_FALSE(result.ok);
+  EXPECT_EQ(result.verdict, "error");
+  EXPECT_FALSE(result.proof_status.has_value());
+  ASSERT_EQ(result.errors.size(), 1u);
+  EXPECT_NE(result.errors[0].find("delivery window [5, 1] is empty"), std::string::npos);
+}
+
 TEST(Service, IllFormedJobsAreErrorResults) {
   api::Job both = api::Job::for_scenario("laser-tracheotomy");
   both.scenario = scenarios::ScenarioDocument{};

@@ -127,10 +127,7 @@ TEST(SimulationContext, MatchesHandWiredAssembly) {
   net::StarNetwork network(engine.scheduler(), rng, 2);
   network.configure_all([] { return std::make_unique<net::BernoulliLoss>(0.4); },
                         net::ChannelConfig{0.0, 0.0, 0.0, 0.5});
-  net::NetEventRouter router(network, built.automaton_of_entity);
-  built.install_routes(router);
-  engine.set_router(&router);
-  router.attach(engine);
+  net::NetEventRouter router(network, engine, built.routes);
   core::PteMonitor monitor(core::MonitorParams::from_config(cfg, 60.0));
   monitor.attach(engine, {0, 1, 2});
   engine.init();

@@ -65,7 +65,7 @@ TEST(Deployment, RouteTableCoversEveryWirelessLabel) {
     ASSERT_EQ(sys.automata.size(), n + 1);
 
     std::set<std::string> routed;
-    for (const auto& r : sys.wireless_routes) routed.insert(r.root);
+    for (const auto& r : sys.routes) routed.insert(r.root);
 
     // Every ??-received root of every automaton must be routed, and every
     // !-emitted root except the internal to_stop markers must be routed.
@@ -82,7 +82,7 @@ TEST(Deployment, RouteTableCoversEveryWirelessLabel) {
       }
     }
     // And the routes' endpoints are consistent with the naming.
-    for (const auto& r : sys.wireless_routes)
+    for (const auto& r : sys.routes)
       EXPECT_TRUE(r.src == 0 || r.dst == 0) << r.root << " not star-routed";
   }
 }
@@ -112,10 +112,7 @@ TEST(Deployment, PatternTolleratesDuplicateDeliveries) {
   channel.duplicate_prob = 0.8;
   channel.duplicate_lag = 0.05;
   network.configure_all([] { return std::make_unique<net::BernoulliLoss>(0.25); }, channel);
-  net::NetEventRouter router(network, built.automaton_of_entity);
-  built.install_routes(router);
-  engine.set_router(&router);
-  router.attach(engine);
+  net::NetEventRouter router(network, engine, built.routes);
   PteMonitor monitor(MonitorParams::from_config(cfg));
   monitor.attach(engine, {0, 1, 2});
   engine.init();

@@ -323,11 +323,7 @@ TEST_P(ElaborateAnywhere, PatternSafetySurvivesElaboration) {
   network.configure_all(
       [] { return std::make_unique<ptecps::net::BernoulliLoss>(0.3); },
       ptecps::net::ChannelConfig{0.001, 0.002, 0.0, 0.5});
-  ptecps::net::NetEventRouter router(network, built.automaton_of_entity);
-  for (const auto& r : built.wireless_routes)
-    router.add_route(r.root, r.src, r.dst);
-  engine.set_router(&router);
-  router.attach(engine);
+  ptecps::net::NetEventRouter router(network, engine, built.routes);
   ptecps::core::PteMonitor monitor(ptecps::core::MonitorParams::from_config(cfg));
   monitor.attach(engine, {0, 1, 2});
   engine.init();

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "net/bridge.hpp"
 #include "net/channel.hpp"
@@ -368,50 +370,57 @@ TEST(StarNetwork, SendEventRoutesToProperLink) {
   EXPECT_FALSE(net.describe().empty());
 }
 
-TEST(Bridge, RoutesWirelessAndRejectsWrongSource) {
-  // Two automata: 0 emits "up" (entity 0... actually entity mapping below),
-  // 1 receives it.
+/// Automaton 0 receives "ping", automaton 1 sends it at t = 1, and the
+/// rest idle: entity e runs automaton e, so remote 1 pings the base.
+std::vector<hybrid::Automaton> ping_system(std::size_t n_automata) {
   using namespace hybrid;
-  Automaton sender("sender");
-  {
-    sender.add_location("s0");
-    sender.add_location("s1");
-    sender.add_initial_location(0);
+  std::vector<Automaton> automata;
+  for (std::size_t a = 0; a < n_automata; ++a) {
+    Automaton& aut = automata.emplace_back("a" + std::to_string(a));
+    aut.add_location("s0");
+    aut.add_location("s1");
+    aut.add_initial_location(0);
+    if (a > 1) continue;
     Edge e;
     e.src = 0;
     e.dst = 1;
-    e.kind = TriggerKind::kTimed;
-    e.dwell = 1.0;
-    e.emits.push_back(SyncLabel::send("ping"));
-    sender.add_edge(std::move(e));
+    if (a == 0) {
+      e.kind = TriggerKind::kEvent;
+      e.trigger = SyncLabel::recv_unreliable("ping");
+    } else {
+      e.kind = TriggerKind::kTimed;
+      e.dwell = 1.0;
+      e.emits.push_back(SyncLabel::send("ping"));
+    }
+    aut.add_edge(std::move(e));
   }
-  Automaton receiver("receiver");
-  {
-    receiver.add_location("r0");
-    receiver.add_location("r1");
-    receiver.add_initial_location(0);
-    Edge e;
-    e.src = 0;
-    e.dst = 1;
-    e.kind = TriggerKind::kEvent;
-    e.trigger = SyncLabel::recv_unreliable("ping");
-    receiver.add_edge(std::move(e));
-  }
-  Engine engine({std::move(receiver), std::move(sender)});
+  return automata;
+}
+
+TEST(Bridge, RoutesWirelessAndDropsUnusedRoots) {
+  hybrid::Engine engine(ping_system(2));
   sim::Rng rng(12);
   StarNetwork net(engine.scheduler(), rng, 1);
-  // entity 0 (base) -> automaton 0 (receiver); entity 1 -> automaton 1.
-  NetEventRouter router(net, {0, 1});
-  router.add_route("ping", 1, 0);
-  EXPECT_THROW(router.add_route("ping", 0, 1), std::invalid_argument);  // duplicate root
-  engine.set_router(&router);
-  router.attach(engine);
-  // The table is fixed once attached.
-  EXPECT_THROW(router.add_route("pong", 0, 1), std::invalid_argument);
+  // No automaton uses "nope", so even its repeat is dropped, not rejected.
+  const std::vector<Route> routes = {{"ping", 1, 0}, {"nope", 0, 1}, {"nope", 1, 0}};
+  NetEventRouter router(net, engine, routes);
   engine.init();
   engine.run_until(2.0);
-  EXPECT_EQ(engine.current_location_name(0), "r1");
+  EXPECT_EQ(engine.current_location_name(0), "s1");
   EXPECT_EQ(router.wireless_sends(), 1u);
+}
+
+TEST(Bridge, ConstructorRejectsBadRoutes) {
+  auto build = [](std::size_t n_remotes, const std::vector<Route>& routes) {
+    hybrid::Engine engine(ping_system(n_remotes + 1));
+    sim::Rng rng(13);
+    StarNetwork net(engine.scheduler(), rng, n_remotes);
+    NetEventRouter router(net, engine, routes);
+  };
+  EXPECT_NO_THROW(build(2, {{"ping", 1, 0}}));
+  EXPECT_THROW(build(1, {{"ping", 1, 0}, {"ping", 0, 1}}), std::invalid_argument);  // twice
+  EXPECT_THROW(build(2, {{"ping", 1, 2}}), std::invalid_argument);  // remote to remote
+  EXPECT_THROW(build(1, {{"ping", 0, 2}}), std::invalid_argument);  // no such remote
 }
 
 }  // namespace

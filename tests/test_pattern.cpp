@@ -40,10 +40,7 @@ struct PatternHarness {
              : net::StarNetwork::LossFactory(
                    [] { return std::make_unique<net::PerfectLink>(); });
     network->configure_all(factory, channel);
-    router = std::make_unique<net::NetEventRouter>(*network, built.automaton_of_entity);
-    built.install_routes(*router);
-    engine->set_router(router.get());
-    router->attach(*engine);
+    router = std::make_unique<net::NetEventRouter>(*network, *engine, built.routes);
     monitor = std::make_unique<PteMonitor>(MonitorParams::from_config(config));
     std::vector<std::size_t> entity_of(n + 1);
     for (std::size_t i = 0; i <= n; ++i) entity_of[i] = i;

@@ -118,10 +118,7 @@ TEST_P(OnlineOfflineAgreement, MonitorAndContainmentCheckerAgree) {
   net::StarNetwork network(engine.scheduler(), rng, 2);
   network.configure_all([loss] { return std::make_unique<net::BernoulliLoss>(loss); },
                         net::ChannelConfig{0.001, 0.002, 0.0, 0.5});
-  net::NetEventRouter router(network, built.automaton_of_entity);
-  built.install_routes(router);
-  engine.set_router(&router);
-  router.attach(engine);
+  net::NetEventRouter router(network, engine, built.routes);
   PteMonitor monitor(MonitorParams::from_config(cfg));
   monitor.attach(engine, {0, 1, 2});
   engine.init();
@@ -154,10 +151,7 @@ TEST_P(OnlineOfflineAgreement, MonitorAndContainmentCheckerAgree) {
   net::StarNetwork net2(bad_engine.scheduler(), rng2, 2);
   net2.configure_all([] { return std::make_unique<net::PerfectLink>(); },
                      net::ChannelConfig{0.0, 0.0, 0.0, 0.5});
-  net::NetEventRouter router2(net2, bad_built.automaton_of_entity);
-  bad_built.install_routes(router2);
-  bad_engine.set_router(&router2);
-  router2.attach(bad_engine);
+  net::NetEventRouter router2(net2, bad_engine, bad_built.routes);
   PteMonitor bad_monitor(MonitorParams::from_config(bad));
   bad_monitor.attach(bad_engine, {0, 1, 2});
   bad_engine.init();
