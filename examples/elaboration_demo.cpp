@@ -53,8 +53,9 @@ int main(int argc, char** argv) {
   const hybrid::VarId h = engine.automaton(0).var_id("Hvent");
   engine.run_until(4.0);
   const double h_pumping = engine.var(0, h);
-  engine.deliver(0, core::events::lease_req(1));  // lease arrives: leave the pump
-  engine.run_until(10.0);                          // deep in Entering/Risky Core
+  // The lease arrives: leave the pump.
+  engine.deliver(0, engine.label_id(core::events::lease_req(1)));
+  engine.run_until(10.0);  // deep in Entering/Risky Core
   const double h_frozen = engine.var(0, h);
   std::printf("=== semantics check ===\n");
   std::printf("Hvent after 4 s of pumping:        %.3f m (moving)\n", h_pumping);

@@ -251,7 +251,12 @@ FrontierReport compute_frontier(const Service& service, const std::vector<Job>& 
       Search& s = searches[active[j]];
       const MatrixRow& row = round.rows[j];
       if (!row.status.has_value()) {
+        // The prover threw: keep its "<scenario>[verify]: ..." message.
         s.fail(util::cat("probe at ", s.in_flight, " losses produced no verdict"));
+        const std::string prover_fault = row.scenario + "[verify]: ";
+        if (round.report.has_value())
+          for (const std::string& e : round.report->errors)
+            if (e.starts_with(prover_fault)) s.res.errors.push_back(e);
         continue;
       }
       FrontierProbe probe;

@@ -312,22 +312,15 @@ bool Engine::dispatch_event(std::size_t a, LabelId label, TraceKind kind) {
   return false;
 }
 
-bool Engine::dispatch_unknown(std::size_t a, const std::string& root, TraceKind kind) {
+bool Engine::dispatch_unknown(std::size_t a, const std::string& root) {
   // Root used by no automaton: by construction no reception edge exists,
   // so the delivery is ignored (still recorded, like any unconsumed event).
   PTE_REQUIRE(initialized_, "engine not initialized");
   PTE_REQUIRE(a < states_.size(), "automaton index out of range");
-  (void)kind;
   if (options_.record_trace)
     record(TraceRecord{cont_time_, a, TraceKind::kIgnoredEvent, states_[a].loc,
                        states_[a].loc, root, 0.0});
   return false;
-}
-
-bool Engine::deliver(std::size_t automaton, const std::string& root) {
-  const LabelId id = system_->labels.find(root);
-  if (id == kNoLabel) return dispatch_unknown(automaton, root, TraceKind::kDeliver);
-  return dispatch_event(automaton, id, TraceKind::kDeliver);
 }
 
 bool Engine::deliver(std::size_t automaton, LabelId label) {
@@ -336,7 +329,7 @@ bool Engine::deliver(std::size_t automaton, LabelId label) {
 
 bool Engine::inject(std::size_t automaton, const std::string& root) {
   const LabelId id = system_->labels.find(root);
-  if (id == kNoLabel) return dispatch_unknown(automaton, root, TraceKind::kInject);
+  if (id == kNoLabel) return dispatch_unknown(automaton, root);
   return dispatch_event(automaton, id, TraceKind::kInject);
 }
 

@@ -139,14 +139,16 @@ class Engine {
   /// crossings and timeouts on the way.
   void run_until(sim::SimTime t);
 
-  /// Deliver event `root` to one automaton (called by routers and by the
-  /// wireless bridge at packet arrival).  Returns true if consumed.
-  bool deliver(std::size_t automaton, const std::string& root);
-  /// Interned-id fast path (intra-engine routing).
+  /// Deliver event `label` (an id of labels()) to one automaton: routers
+  /// call it at emission, the wireless bridge at packet arrival and
+  /// counterexample replay at the scripted instant.  Returns true if
+  /// consumed.
   bool deliver(std::size_t automaton, LabelId label);
 
   /// Inject an external stimulus (environment / human-in-the-loop): same
-  /// consumption rule as deliver, recorded distinctly in the trace.
+  /// consumption rule as deliver, recorded distinctly in the trace.  The
+  /// string form serves scripts whose roots come from documents: a root
+  /// no automaton uses is recorded as ignored.
   bool inject(std::size_t automaton, const std::string& root);
   bool inject(std::size_t automaton, LabelId label);
 
@@ -206,7 +208,7 @@ class Engine {
   /// quiescent, bounded by kMaxCascade.
   void settle_conditions(std::size_t a);
   bool dispatch_event(std::size_t a, LabelId label, TraceKind kind);
-  bool dispatch_unknown(std::size_t a, const std::string& root, TraceKind kind);
+  bool dispatch_unknown(std::size_t a, const std::string& root);
   /// One add_sampler tick: record the sample, then reschedule itself.
   void sample(std::size_t automaton, VarId var, sim::SimTime period);
 

@@ -6,10 +6,9 @@
 // Doing that with string comparisons costs a hash or a character-wise
 // compare per candidate edge.  The LabelTable assigns each distinct label
 // root a dense LabelId once (in hybrid::compile_system), after which
-// routing and dispatch compare 32-bit integers; the root strings survive
-// only for the trace/debug boundary (and the wire format, where packets
-// carry the root so independently-built nodes agree on meaning, not on
-// table order).
+// routing, dispatch and the wireless packets compare 32-bit integers; the
+// root strings survive only for the trace/debug boundary (every node of a
+// run lives in one engine and shares one table).
 #pragma once
 
 #include <cstdint>

@@ -19,9 +19,7 @@ NetEventRouter::NetEventRouter(StarNetwork& network, hybrid::Engine& engine,
     dense = DenseRoute{r.src, r.dst, true};
   }
   for (EntityId r = 1; r <= network.n_remotes(); ++r) {
-    // The wire carries the root string (nodes built independently must
-    // agree on meaning, not table order); intern once per arrival.
-    auto deliver = [this](const Packet& p) { engine_.deliver(p.dst, p.event_root); };
+    auto deliver = [this](const Packet& p) { engine_.deliver(p.dst, p.label); };
     network.uplink(r).set_delivery(deliver);
     network.downlink(r).set_delivery(deliver);
   }
@@ -38,7 +36,7 @@ void NetEventRouter::route(hybrid::Engine&, std::size_t src_automaton,
             util::cat("event '", label.root, "' emitted by automaton #", src_automaton,
                       " but routed from entity xi", r.src));
   ++wireless_sends_;
-  network_.send_event(r.src, r.dst, label.root);
+  network_.send_event(r.src, r.dst, label_id);
 }
 
 }  // namespace ptecps::net

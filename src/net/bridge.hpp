@@ -8,7 +8,9 @@
 // (and may be lost).  Unrouted roots are internal events without
 // receivers (the paper's prefixless labels) and are dropped silently.
 // Entity e runs the engine's automaton e (core/deployment.hpp), so a
-// packet for entity e is delivered to automaton e.
+// packet for entity e is delivered to automaton e.  Delivery goes by
+// label id: the packet carries the id the router got from the engine,
+// and its arrival calls Engine::deliver(dst, id) with no string lookup.
 //
 // The router is built in one step from its route list: construction
 // checks every route, indexes it by the engine's label ids and wires the

@@ -1,14 +1,12 @@
 #include "net/channel.hpp"
 
 #include "util/require.hpp"
-#include "util/text.hpp"
 
 namespace ptecps::net {
 
-Channel::Channel(std::string name, sim::Scheduler& scheduler, sim::Rng rng,
-                 std::unique_ptr<LossModel> loss, ChannelConfig config)
-    : name_(std::move(name)), scheduler_(scheduler), rng_(rng), loss_(std::move(loss)),
-      config_(config) {
+Channel::Channel(sim::Scheduler& scheduler, sim::Rng rng, std::unique_ptr<LossModel> loss,
+                 ChannelConfig config)
+    : scheduler_(scheduler), rng_(rng), loss_(std::move(loss)), config_(config) {
   PTE_REQUIRE(loss_ != nullptr, "channel needs a loss model");
   PTE_REQUIRE(config_.delay >= 0.0, "negative channel delay");
   PTE_REQUIRE(config_.delay_jitter >= 0.0, "negative delay jitter");
@@ -25,8 +23,7 @@ void Channel::set_loss_model(std::unique_ptr<LossModel> loss) {
 }
 
 void Channel::send(Packet packet) {
-  PTE_REQUIRE(delivery_ != nullptr, util::cat("channel '", name_, "' has no receiver"));
-  packet.seq = next_seq_++;
+  PTE_REQUIRE(delivery_ != nullptr, "channel has no receiver");
   packet.send_time = scheduler_.now();
   ++stats_.sent;
 
@@ -35,43 +32,38 @@ void Channel::send(Packet packet) {
     return;
   }
 
-  // Serialize now; in-flight corruption flips one random bit so that the
-  // receiver's CRC check fires.
-  std::vector<std::uint8_t> bytes = packet.serialize();
-  if (config_.bit_error_prob > 0.0 && rng_.bernoulli(config_.bit_error_prob)) {
-    const std::size_t bit = static_cast<std::size_t>(rng_.uniform_int(bytes.size() * 8));
-    bytes[bit / 8] ^= static_cast<std::uint8_t>(1U << (bit % 8));
-  }
+  // A bit error dooms the packet at the receiver.  The unused draw after
+  // it keeps the link's later draws in place (see the header).
+  const bool corrupted =
+      config_.bit_error_prob > 0.0 && rng_.bernoulli(config_.bit_error_prob);
+  if (corrupted) rng_.next_u64();
 
   const sim::SimTime delay =
       config_.delay +
       (config_.delay_jitter > 0.0 ? rng_.uniform(0.0, config_.delay_jitter) : 0.0);
 
-  auto arrive = [this](const std::vector<std::uint8_t>& wire_bytes, bool duplicate) {
-    std::optional<Packet> received = Packet::parse(wire_bytes);
-    if (!received.has_value()) {
+  auto arrive = [this, packet, corrupted](bool duplicate) {
+    if (corrupted) {
       ++stats_.corrupted;
       return;
     }
     if (config_.acceptance_window > 0.0 &&
-        scheduler_.now() - received->send_time > config_.acceptance_window + sim::kTimeEps) {
+        scheduler_.now() - packet.send_time > config_.acceptance_window + sim::kTimeEps) {
       ++stats_.rejected_late;
       return;
     }
     ++stats_.delivered;
     if (duplicate) ++stats_.duplicated;
-    delivery_(*received);
+    delivery_(packet);
   };
 
   // At-least-once duplication (extension, see ChannelConfig): a second
   // copy arrives duplicate_lag later and goes through the same checks.
   if (config_.duplicate_prob > 0.0 && rng_.bernoulli(config_.duplicate_prob)) {
     scheduler_.schedule_in(delay + config_.duplicate_lag,
-                           [arrive, bytes] { arrive(bytes, /*duplicate=*/true); });
+                           [arrive] { arrive(/*duplicate=*/true); });
   }
-  scheduler_.schedule_in(delay, [arrive, bytes = std::move(bytes)] {
-    arrive(bytes, /*duplicate=*/false);
-  });
+  scheduler_.schedule_in(delay, [arrive] { arrive(/*duplicate=*/false); });
 }
 
 }  // namespace ptecps::net

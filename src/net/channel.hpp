@@ -1,14 +1,26 @@
 // A unidirectional wireless link: loss model + propagation delay +
-// bit-error injection (caught by the CRC) + receiver acceptance window
-// (§II-B: "for the downlink, the remote entities locally specify delays
-// as acceptable or as lost-messages"; uplink delays are handled the same
-// way by the base station).
+// bit errors + receiver acceptance window (§II-B: "for the downlink, the
+// remote entities locally specify delays as acceptable or as
+// lost-messages"; uplink delays are handled the same way by the base
+// station).
+//
+// A bit error is a communication outcome, not damaged bytes: the paper's
+// checksum catches every bit error and the receiver discards the packet,
+// so the Bernoulli draw alone decides it.  The packet still travels and
+// is counted `corrupted` at its arrival instant.
+//
+// A fired bit-error draw is followed by one more 64-bit draw whose value
+// goes unused.  It once picked the flipped bit of a byte frame: a
+// rejection-sampled draw over the frame's bits (at most 448 for the
+// pattern's event roots) that redraws with probability below 2^-55.
+// Keeping it keeps every later draw of the link's random stream (jitter,
+// duplication, the next packet's loss) where it was, so campaigns sample
+// the same runs.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 
 #include "net/loss_model.hpp"
 #include "net/packet.hpp"
@@ -20,7 +32,7 @@ namespace ptecps::net {
 struct ChannelConfig {
   sim::SimTime delay = 0.005;        // fixed propagation + MAC delay (s)
   sim::SimTime delay_jitter = 0.0;   // uniform extra delay in [0, jitter)
-  double bit_error_prob = 0.0;       // P(flip one random bit) per packet
+  double bit_error_prob = 0.0;       // P(a packet has a bit error)
   /// Maximum age a packet may have on arrival before the receiver treats
   /// it as lost; 0 disables the check.
   sim::SimTime acceptance_window = 0.5;
@@ -40,7 +52,7 @@ struct ChannelStats {
   std::uint64_t sent = 0;
   std::uint64_t delivered = 0;
   std::uint64_t lost = 0;           // dropped by the loss model
-  std::uint64_t corrupted = 0;      // CRC mismatch at receiver
+  std::uint64_t corrupted = 0;      // bit error, discarded at arrival
   std::uint64_t rejected_late = 0;  // outside the acceptance window
   std::uint64_t duplicated = 0;     // extra copies delivered
 
@@ -53,16 +65,16 @@ class Channel {
  public:
   using DeliveryFn = std::function<void(const Packet&)>;
 
-  Channel(std::string name, sim::Scheduler& scheduler, sim::Rng rng,
-          std::unique_ptr<LossModel> loss, ChannelConfig config);
+  Channel(sim::Scheduler& scheduler, sim::Rng rng, std::unique_ptr<LossModel> loss,
+          ChannelConfig config);
 
   void set_delivery(DeliveryFn fn);
 
-  /// Transmit `packet`.  Loss, corruption and late rejection are decided
-  /// here; survivors arrive at the delivery callback after the delay.
+  /// Transmit `packet`, stamped with the current time.  Loss, bit error,
+  /// delay and duplication are drawn here, in that order; survivors
+  /// arrive at the delivery callback after the delay unless late.
   void send(Packet packet);
 
-  const std::string& name() const { return name_; }
   const ChannelStats& stats() const { return stats_; }
   const LossModel& loss_model() const { return *loss_; }
   LossModel& loss_model_mut() { return *loss_; }
@@ -70,14 +82,12 @@ class Channel {
   void set_loss_model(std::unique_ptr<LossModel> loss);
 
  private:
-  std::string name_;
   sim::Scheduler& scheduler_;
   sim::Rng rng_;
   std::unique_ptr<LossModel> loss_;
   ChannelConfig config_;
   DeliveryFn delivery_;
   ChannelStats stats_;
-  std::uint32_t next_seq_ = 0;
 };
 
 }  // namespace ptecps::net

@@ -1,28 +1,16 @@
-// Wire packets for the star-topology wireless CPS (§II-B).
+// Wireless messages of the star-topology CPS (§II-B).
 //
-// A packet carries one synchronization event (its label root) between the
-// base station and a remote entity.  Packets serialize to a byte layout
-// with a trailing CRC-32; the receiver re-computes the checksum and
-// discards mismatches — the channel's bit-error injection exercises this
-// path, realizing "a packet with bit error(s) is discarded at the
-// receiver".
-//
-// Layout (little-endian):
-//   [0..3]   magic 'PTEC'
-//   [4..7]   sequence number
-//   [8..9]   source entity id
-//   [10..11] destination entity id
-//   [12..19] send time (IEEE-754 double, seconds)
-//   [20..21] event root length L
-//   [22..22+L) event root bytes
-//   [...+4]  CRC-32 over everything above
+// A packet carries one synchronization event between the base station
+// and a remote entity as the three values its receiver reads: the
+// event's label id, the destination entity and the send time (the
+// acceptance window measures a packet's age from it).  Every node of a
+// run lives in one hybrid::Engine and shares its compiled label table,
+// so the id alone names the event; no byte frame is built.
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
-#include <vector>
 
+#include "hybrid/label_table.hpp"
 #include "sim/time.hpp"
 
 namespace ptecps::net {
@@ -30,17 +18,9 @@ namespace ptecps::net {
 using EntityId = std::uint16_t;
 
 struct Packet {
-  std::uint32_t seq = 0;
-  EntityId src = 0;
+  hybrid::LabelId label = hybrid::kNoLabel;
   EntityId dst = 0;
   sim::SimTime send_time = 0.0;
-  std::string event_root;
-
-  std::vector<std::uint8_t> serialize() const;
-
-  /// Parse and verify; std::nullopt on truncation, bad magic or CRC
-  /// mismatch.
-  static std::optional<Packet> parse(const std::vector<std::uint8_t>& bytes);
 };
 
 }  // namespace ptecps::net

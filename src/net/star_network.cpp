@@ -10,14 +10,10 @@ StarNetwork::StarNetwork(sim::Scheduler& scheduler, sim::Rng& rng, std::size_t n
     : scheduler_(scheduler), n_remotes_(n_remotes), rng_(&rng) {
   PTE_REQUIRE(n_remotes >= 1, "star network needs at least one remote");
   for (std::size_t i = 1; i <= n_remotes; ++i) {
-    uplinks_.push_back(std::make_unique<Channel>(util::cat("uplink[xi", i, "->xi0]"),
-                                                 scheduler_, rng.fork(2 * i),
-                                                 std::make_unique<PerfectLink>(),
-                                                 ChannelConfig{}));
-    downlinks_.push_back(std::make_unique<Channel>(util::cat("downlink[xi0->xi", i, "]"),
-                                                   scheduler_, rng.fork(2 * i + 1),
-                                                   std::make_unique<PerfectLink>(),
-                                                   ChannelConfig{}));
+    uplinks_.push_back(std::make_unique<Channel>(
+        scheduler_, rng.fork(2 * i), std::make_unique<PerfectLink>(), ChannelConfig{}));
+    downlinks_.push_back(std::make_unique<Channel>(
+        scheduler_, rng.fork(2 * i + 1), std::make_unique<PerfectLink>(), ChannelConfig{}));
   }
 }
 
@@ -33,18 +29,16 @@ Channel& StarNetwork::downlink(EntityId remote) {
 
 void StarNetwork::configure_uplink(EntityId remote, std::unique_ptr<LossModel> loss,
                                    ChannelConfig config) {
-  auto& old = uplink(remote);
-  uplinks_[remote - 1] = std::make_unique<Channel>(old.name(), scheduler_,
-                                                   rng_->fork(100 + 2 * remote),
-                                                   std::move(loss), config);
+  uplink(remote);  // range check
+  uplinks_[remote - 1] =
+      std::make_unique<Channel>(scheduler_, rng_->fork(100 + 2 * remote), std::move(loss), config);
 }
 
 void StarNetwork::configure_downlink(EntityId remote, std::unique_ptr<LossModel> loss,
                                      ChannelConfig config) {
-  auto& old = downlink(remote);
-  downlinks_[remote - 1] = std::make_unique<Channel>(old.name(), scheduler_,
-                                                     rng_->fork(101 + 2 * remote),
-                                                     std::move(loss), config);
+  downlink(remote);  // range check
+  downlinks_[remote - 1] =
+      std::make_unique<Channel>(scheduler_, rng_->fork(101 + 2 * remote), std::move(loss), config);
 }
 
 void StarNetwork::configure_all(const LossFactory& factory, ChannelConfig config) {
@@ -63,12 +57,8 @@ Channel& StarNetwork::channel_for(EntityId src, EntityId dst) {
   return uplink(src);
 }
 
-void StarNetwork::send_event(EntityId src, EntityId dst, const std::string& event_root) {
-  Packet p;
-  p.src = src;
-  p.dst = dst;
-  p.event_root = event_root;
-  channel_for(src, dst).send(std::move(p));
+void StarNetwork::send_event(EntityId src, EntityId dst, hybrid::LabelId label) {
+  channel_for(src, dst).send(Packet{label, dst, 0.0});
 }
 
 ChannelStats StarNetwork::total_stats() const {
@@ -89,15 +79,15 @@ ChannelStats StarNetwork::total_stats() const {
 std::string StarNetwork::describe() const {
   util::TextTable table({"link", "loss model", "sent", "delivered", "lost", "corrupt", "late"});
   for (std::size_t c = 2; c <= 6; ++c) table.set_right_align(c);
-  auto row = [&table](const Channel& ch) {
-    table.add_row({ch.name(), ch.loss_model().describe(), std::to_string(ch.stats().sent),
+  auto row = [&table](std::string link, const Channel& ch) {
+    table.add_row({std::move(link), ch.loss_model().describe(), std::to_string(ch.stats().sent),
                    std::to_string(ch.stats().delivered), std::to_string(ch.stats().lost),
                    std::to_string(ch.stats().corrupted),
                    std::to_string(ch.stats().rejected_late)});
   };
-  for (std::size_t i = 0; i < n_remotes_; ++i) {
-    row(*uplinks_[i]);
-    row(*downlinks_[i]);
+  for (std::size_t i = 1; i <= n_remotes_; ++i) {
+    row(util::cat("uplink[xi", i, "->xi0]"), *uplinks_[i - 1]);
+    row(util::cat("downlink[xi0->xi", i, "]"), *downlinks_[i - 1]);
   }
   return table.render();
 }

@@ -42,12 +42,13 @@ class StarNetwork {
   /// The channel used for src → dst; throws for remote→remote pairs.
   Channel& channel_for(EntityId src, EntityId dst);
 
-  /// Transmit an event packet from src to dst over the proper channel.
-  void send_event(EntityId src, EntityId dst, const std::string& event_root);
+  /// Transmit event `label` from src to dst over the proper channel.
+  void send_event(EntityId src, EntityId dst, hybrid::LabelId label);
 
   /// Aggregate statistics over all links.
   ChannelStats total_stats() const;
-  /// Formatted per-link table (bench/example output).
+  /// Formatted per-link table (bench/example output); the only place
+  /// links get names, uplink[xiI->xi0] and downlink[xi0->xiI].
   std::string describe() const;
 
  private:

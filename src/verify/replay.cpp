@@ -33,9 +33,8 @@ class ScriptRouter final : public hybrid::EventRouter {
     const CounterexampleSend& send = cx_.sends[k];
     if (send.lost) return;
     const std::size_t to = send.dst_automaton;
-    const std::string root = label.root;
-    engine.scheduler().schedule_at(send.deliver_time, [&engine, to, root] {
-      engine.deliver(to, root);
+    engine.scheduler().schedule_at(send.deliver_time, [&engine, to, label_id] {
+      engine.deliver(to, label_id);
     });
   }
 

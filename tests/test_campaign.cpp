@@ -78,7 +78,7 @@ class StringScanRouter final : public hybrid::EventRouter {
           break;
         }
       }
-      if (receives) engine.deliver(i, label.root);
+      if (receives) engine.deliver(i, engine.label_id(label.root));
     }
   }
 };

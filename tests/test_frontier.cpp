@@ -10,6 +10,7 @@
 
 #include "api/frontier.hpp"
 #include "api/service.hpp"
+#include "scenarios/registry.hpp"
 #include "util/json.hpp"
 
 namespace ptecps::api {
@@ -137,6 +138,38 @@ TEST(Frontier, UnknownScenarioFailsAloneWithoutSinkingTheSweep) {
   EXPECT_EQ(report.results[0].margin, 1.0);
   EXPECT_FALSE(report.results[1].ok);
   ASSERT_FALSE(report.results[1].errors.empty());
+}
+
+TEST(Frontier, ProverFaultKeepsItsMessage) {
+  // An explicit empty delivery window makes every probe's prover throw;
+  // the search's errors must carry the prover's message, and the healthy
+  // search batched into the same rounds must not notice.
+  scenarios::ScenarioDocument doc =
+      scenarios::export_document(*scenarios::find_scenario("laser-tracheotomy"));
+  doc.params.name = "bad-window";
+  doc.params.verify.delivery_min = 5.0;
+  doc.params.verify.delivery_max = 1.0;
+  Job bad = Job::for_document(doc);
+  bad.smoke = true;
+  const Service service;
+  const FrontierReport report =
+      compute_frontier(service, {smoke_job("laser-tracheotomy"), bad});
+  EXPECT_FALSE(report.ok);
+  ASSERT_EQ(report.results.size(), 2u);
+
+  const FrontierResult& healthy = report.results[0];
+  EXPECT_TRUE(healthy.ok);
+  EXPECT_TRUE(healthy.errors.empty());
+  EXPECT_EQ(healthy.margin, 1.0);
+  EXPECT_EQ(healthy.probes.size(), 2u);
+
+  const FrontierResult& faulty = report.results[1];
+  EXPECT_FALSE(faulty.ok);
+  EXPECT_TRUE(faulty.probes.empty());
+  bool has_message = false;
+  for (const std::string& e : faulty.errors)
+    has_message = has_message || e.find("delivery window [5, 1] is empty") != std::string::npos;
+  EXPECT_TRUE(has_message) << report.to_json().dump(2);
 }
 
 TEST(Frontier, ZeroDefaultBudgetIsRejected) {

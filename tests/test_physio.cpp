@@ -152,7 +152,7 @@ TEST(Surgeon, ArmsTonInFallBackAndToffWhenEmitting) {
   // Wait until it is Requesting again, then approve.
   const hybrid::LocId requesting = engine.automaton(0).location_id("Requesting");
   while (engine.current_location(0) != requesting) engine.run_until(engine.now() + 0.5);
-  engine.deliver(0, core::events::approve(2));
+  engine.deliver(0, engine.label_id(core::events::approve(2)));
   engine.run_until(engine.now() + cfg.entity(2).t_enter_max + 0.1);
   // Emission started; Toff ~ Exp(4) may already have cancelled it.
   const std::string loc = engine.current_location_name(0);

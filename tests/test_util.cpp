@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "hybrid/label_table.hpp"
 #include "util/cli.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
@@ -263,6 +264,15 @@ TEST(Require, MacrosThrowWithContext) {
     EXPECT_NE(std::string(e.what()).find("math broke"), std::string::npos);
   }
   EXPECT_THROW(PTE_CHECK(false, "internal"), std::logic_error);
+  // A requirement inside the library names its file relative to the
+  // checkout, so messages do not depend on where the checkout lives.
+  try {
+    hybrid::LabelTable{}.root_of(0);
+    FAIL() << "should have thrown";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("(src/hybrid/label_table.cpp:"), std::string::npos)
+        << e.what();
+  }
 }
 
 }  // namespace
