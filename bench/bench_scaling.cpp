@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
     std::vector<std::size_t> entity_of(n + 1);
     for (std::size_t i = 0; i <= n; ++i) entity_of[i] = i;
     monitor.attach(engine, entity_of);
-    SessionTracker tracker(engine, SessionTracker::fall_back_sets(engine, {}));
+    SessionTracker tracker(engine, SessionTracker::fall_back_sets(engine.automata(), {}));
     engine.init();
 
     // Spaced requests: one per 2x the reset bound so sessions are isolated.

@@ -9,12 +9,22 @@ namespace ptecps::campaign {
 
 namespace {
 
-/// Build the spec's pattern system and compile its automata.
+/// Build the spec's pattern system, compile its automata, and look up
+/// the location and label ids every run's observers match on.
 ScenarioPrototype compile_prototype(const ScenarioSpec& spec) {
   core::BuiltSystem built = core::build_pattern_system(spec.config, spec.approval,
                                                        spec.with_lease, spec.deadline_wait);
-  return ScenarioPrototype{hybrid::compile_system(std::move(built.automata)),
-                           std::move(built.routes)};
+  ScenarioPrototype proto;
+  proto.system = hybrid::compile_system(std::move(built.automata));
+  proto.routes = std::move(built.routes);
+  // Every pattern automaton has a Fall-Back location.
+  proto.fall_back = core::SessionTracker::fall_back_sets(proto.system->automata, {});
+  proto.waiting = core::SessionTracker::waiting_sets(proto.system->automata);
+  for (std::size_t i = 1; i <= spec.config.n_remotes; ++i) {
+    const hybrid::LabelId id = proto.system->labels.find(core::events::to_stop(i));
+    if (id != hybrid::kNoLabel) proto.stop_ids.emplace_back(id, i);
+  }
+  return proto;
 }
 
 }  // namespace
@@ -64,21 +74,16 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
 
   // Sessions and whole-system reset measurement (Theorem 1's empirical
   // counterpart), including right-censoring of sessions cut by the
-  // horizon.  Every pattern automaton has a Fall-Back location.
-  session_tracker_ = std::make_unique<core::SessionTracker>(
-      *engine_, core::SessionTracker::fall_back_sets(*engine_, {}));
+  // horizon.
+  session_tracker_ = std::make_unique<core::SessionTracker>(*engine_, prototype->fall_back,
+                                                            prototype->waiting);
 
   // Lease-expiry forced stops (evtToStop emissions) per entity.  Match by
   // the interned id the engine hands every observer — integer compares
   // per emission, no string hashed or compared.
   lease_stops_.assign(spec.config.n_remotes + 1, 0);
-  std::vector<std::pair<hybrid::LabelId, std::size_t>> stop_ids;
-  for (std::size_t i = 1; i <= spec.config.n_remotes; ++i) {
-    const hybrid::LabelId id = engine_->label_id(core::events::to_stop(i));
-    if (id != hybrid::kNoLabel) stop_ids.emplace_back(id, i);
-  }
-  if (!stop_ids.empty()) {
-    engine_->add_emit_observer([this, stop_ids = std::move(stop_ids)](
+  if (!prototype->stop_ids.empty()) {
+    engine_->add_emit_observer([this, stop_ids = prototype->stop_ids](
                                    std::size_t, sim::SimTime, const hybrid::SyncLabel&,
                                    hybrid::LabelId id) {
       for (const auto& [stop_id, entity] : stop_ids) {

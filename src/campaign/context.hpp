@@ -9,15 +9,18 @@
 //
 // For campaigns the per-run construction cost matters: a ScenarioPrototype
 // builds, validates and compiles a spec's system once (automata, label
-// table, per-location edge tables) and keeps its route list, and every
-// run's engine shares that compiled system read-only.  A run copies no
-// automaton, interns no label and copies no route: starting its engine
-// costs one refcount bump, and its router only builds the dense
+// table, per-location edge tables), keeps its route list, and looks up
+// once what every run's observers match on (the Fall-Back and waiting
+// location ids, the lease-stop label ids).  Every run's engine shares
+// that compiled system read-only.  A run copies no automaton, interns no
+// label, copies no route and compares or formats no name: starting its
+// engine costs one refcount bump, and its router only builds the dense
 // label-id index over the prototype's routes.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "campaign/scenario.hpp"
@@ -36,8 +39,16 @@ struct ScenarioPrototype {
   std::shared_ptr<const hybrid::CompiledSystem> system;
   /// The wireless routes every run's router indexes.
   std::vector<net::Route> routes;
+  /// Per automaton, the locations every run's SessionTracker counts as
+  /// Fall-Back and as waiting ("Requesting").
+  std::vector<std::vector<hybrid::LocId>> fall_back;
+  std::vector<std::vector<hybrid::LocId>> waiting;
+  /// (evtToStop label id, entity) of every remote whose lease can force
+  /// a stop: the emissions each run counts as lease stops.
+  std::vector<std::pair<hybrid::LabelId, std::size_t>> stop_ids;
 
-  /// Rejects custom_run specs, which build their own systems.
+  /// Rejects custom_run specs, which build their own systems, and
+  /// systems with an automaton that has no Fall-Back location.
   static std::shared_ptr<const ScenarioPrototype> build(const ScenarioSpec& spec);
 };
 

@@ -20,7 +20,7 @@ SessionTracker::SessionTracker(hybrid::Engine& engine,
       waiting_of_(std::move(waiting_of)) {
   PTE_REQUIRE(fall_back_of_.size() == engine.num_automata(),
               "need a Fall-Back set per automaton");
-  if (waiting_of_.empty()) waiting_of_ = waiting_sets(engine);
+  if (waiting_of_.empty()) waiting_of_ = waiting_sets(engine.automata());
   PTE_REQUIRE(waiting_of_.size() == engine.num_automata(),
               "need a waiting set per automaton (may be empty)");
   entity_out_.assign(engine.num_automata(), false);
@@ -31,10 +31,11 @@ SessionTracker::SessionTracker(hybrid::Engine& engine,
 }
 
 std::vector<std::vector<hybrid::LocId>> SessionTracker::fall_back_sets(
-    const hybrid::Engine& engine, const std::vector<std::string>& extra_fall_back_names) {
-  std::vector<std::vector<hybrid::LocId>> sets(engine.num_automata());
-  for (std::size_t a = 0; a < engine.num_automata(); ++a) {
-    const auto& aut = engine.automaton(a);
+    std::span<const hybrid::Automaton> automata,
+    const std::vector<std::string>& extra_fall_back_names) {
+  std::vector<std::vector<hybrid::LocId>> sets(automata.size());
+  for (std::size_t a = 0; a < automata.size(); ++a) {
+    const hybrid::Automaton& aut = automata[a];
     for (hybrid::LocId l = 0; l < aut.num_locations(); ++l) {
       const std::string& name = aut.location(l).name;
       const bool is_fb =
@@ -50,10 +51,10 @@ std::vector<std::vector<hybrid::LocId>> SessionTracker::fall_back_sets(
 }
 
 std::vector<std::vector<hybrid::LocId>> SessionTracker::waiting_sets(
-    const hybrid::Engine& engine) {
-  std::vector<std::vector<hybrid::LocId>> sets(engine.num_automata());
-  for (std::size_t a = 0; a < engine.num_automata(); ++a) {
-    const auto& aut = engine.automaton(a);
+    std::span<const hybrid::Automaton> automata) {
+  std::vector<std::vector<hybrid::LocId>> sets(automata.size());
+  for (std::size_t a = 0; a < automata.size(); ++a) {
+    const hybrid::Automaton& aut = automata[a];
     for (hybrid::LocId l = 0; l < aut.num_locations(); ++l) {
       if (aut.location(l).name == "Requesting") sets[a].push_back(l);
     }

@@ -11,6 +11,7 @@
 // for every session under adversarial loss.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,11 +70,14 @@ class SessionTracker {
   /// Convenience: derive the Fall-Back sets by name — the supervisor's
   /// and every entity's "Fall-Back" location plus, for elaborated
   /// automata, every location whose name is in `extra_fall_back_names`.
+  /// Throws if an automaton has none.
   static std::vector<std::vector<hybrid::LocId>> fall_back_sets(
-      const hybrid::Engine& engine, const std::vector<std::string>& extra_fall_back_names);
+      std::span<const hybrid::Automaton> automata,
+      const std::vector<std::string>& extra_fall_back_names);
 
   /// Convenience: every location named "Requesting".
-  static std::vector<std::vector<hybrid::LocId>> waiting_sets(const hybrid::Engine& engine);
+  static std::vector<std::vector<hybrid::LocId>> waiting_sets(
+      std::span<const hybrid::Automaton> automata);
 
   /// Record the horizon: sessions still open become right-censored at
   /// `end` (they enter the worst-case statistics as lower bounds instead

@@ -163,6 +163,7 @@ class Engine {
   // -- state access ---------------------------------------------------------
   sim::SimTime now() const { return cont_time_; }
   std::size_t num_automata() const { return automata_.size(); }
+  const std::vector<Automaton>& automata() const { return automata_; }
   const Automaton& automaton(std::size_t i) const;
   std::size_t automaton_index(const std::string& name) const;
 

@@ -9,6 +9,7 @@
 #include <functional>
 #include <limits>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <unordered_map>
 
@@ -185,28 +186,31 @@ struct Op {
   }
 };
 
-/// Narrative event recorded during symbolic execution — rendered to text
-/// only if the step ends up on a counterexample path (string formatting
-/// used to be a measurable slice of the exploration hot path).
+/// Narrative event recorded during symbolic execution, rendered to text
+/// by the concretizer; its send events are also the script's wireless
+/// emissions.
 struct TraceRec {
   enum class Kind : std::uint8_t { kFire, kSend, kLost, kSet };
   Kind kind = Kind::kFire;
   std::uint32_t a = 0;  // kFire: automaton; kSend/kLost: label; kSet: toggle index
-  std::uint32_t b = 0;  // kFire: src location
-  std::uint32_t c = 0;  // kFire: dst location
+  std::uint32_t b = 0;  // kFire: src location; kSend: message slot
+  std::uint32_t c = 0;  // kFire: dst location; kSend/kLost: dst automaton
 
   static TraceRec fire(std::size_t automaton, std::size_t src, std::size_t dst) {
     return TraceRec{Kind::kFire, static_cast<std::uint32_t>(automaton),
                     static_cast<std::uint32_t>(src), static_cast<std::uint32_t>(dst)};
   }
-  static TraceRec send(hybrid::LabelId label, bool lost) {
-    return TraceRec{lost ? Kind::kLost : Kind::kSend, label, 0, 0};
+  static TraceRec send(hybrid::LabelId label, bool lost, std::size_t slot, std::size_t dst) {
+    return TraceRec{lost ? Kind::kLost : Kind::kSend, label, static_cast<std::uint32_t>(slot),
+                    static_cast<std::uint32_t>(dst)};
   }
   static TraceRec set(std::size_t toggle) {
     return TraceRec{Kind::kSet, static_cast<std::uint32_t>(toggle), 0, 0};
   }
 };
 
+/// The header of the step that produced a successor: what the
+/// concretizer's script needs besides the step's record.
 struct Step {
   enum class Kind : std::uint8_t {
     kInit,
@@ -222,21 +226,20 @@ struct Step {
   std::uint32_t automaton = 0;
   std::uint32_t slot = 0;  // deliver: message slot; toggle: toggle index
   hybrid::LabelId root = hybrid::kNoLabel;  // deliver / inject event root
-  util::SmallVec<Op, 24> ops;  // invariants + guards + resets, in order
-  struct Send {
-    std::uint32_t slot = 0;
-    std::uint32_t dst = 0;
-    hybrid::LabelId label = hybrid::kNoLabel;
-    bool lost = false;
-  };
-  util::SmallVec<Send, 4> sends;      // wireless emissions of this instant
-  util::SmallVec<TraceRec, 8> trace;  // narrative, in note order
+};
+
+/// A step's zone ops and narrative.  Only the concretizer's re-derivation
+/// of a counterexample path records them: the search reads neither.
+struct StepRecord {
+  std::vector<Op> ops;          // invariants + guards + resets, in order
+  std::vector<TraceRec> trace;  // narrative, in note order
 };
 
 struct Outcome {
   DState d;
   Zone z = Zone(0);  // exact (extrapolation happens at emit)
   Step step;
+  std::optional<StepRecord> rec;  // only in a recording expander
 };
 
 struct Node;
@@ -267,18 +270,12 @@ struct Pending {
 /// node keeps no record of its incoming step: concretize re-derives a
 /// path's steps from the root by replaying the ordinals.
 struct Node {
-  static constexpr std::uint32_t kNoToggle = UINT32_MAX;
-
   DState d;
   Zone z;  // settled: exact, or extrapolated by the exact-equality store
   const Node* parent = nullptr;
   std::uint64_t prank = 0;
   std::uint64_t rank = 0;  // global canonical rank within its round
   std::uint32_t ordinal = 0;
-  /// The toggle index of the incoming step if it was a pure input write
-  /// (it settled without firing an edge, constraining the zone, or
-  /// sending), else kNoToggle: see the POR sleep set.
-  std::uint32_t sleep_toggle = kNoToggle;
   bool stale = false;  // evicted by a subsuming zone before expansion
 
   explicit Node(Pending&& p)
@@ -286,15 +283,7 @@ struct Node {
         z(std::move(p.o.z)),
         parent(p.parent),
         prank(p.parent_rank),
-        ordinal(p.ordinal),
-        sleep_toggle(pure_toggle(p.o.step)) {}
-
- private:
-  static std::uint32_t pure_toggle(const Step& s) {
-    const bool pure = s.kind == Step::Kind::kToggle && s.ops.empty() && s.sends.empty() &&
-                      s.trace.size() == 1;
-    return pure ? s.slot : kNoToggle;
-  }
+        ordinal(p.ordinal) {}
 };
 
 /// Pointer-stable node storage: nodes are built in place in chunks that
@@ -324,7 +313,8 @@ struct FoundViolation {
   std::size_t entity = 0;
   std::size_t other = 0;
   std::string description;
-  Step step;  // the violating step (ops include the check)
+  Step step;                      // the violating step
+  std::optional<StepRecord> rec;  // its record (ops include the check)
 };
 
 struct RoundViolation {
@@ -424,31 +414,30 @@ class Gang {
 // One Expander per worker: re-executes the engine's instant semantics on
 // (discrete state, zone) pairs and emits successors into per-target-shard
 // buffers.  No shared mutable state — violations unwind by exception and
-// are recorded by the worker loop.
+// are recorded by the worker loop.  A recording expander (the
+// concretizer's) also records each step's zone ops, sends and narrative.
 class Expander {
  public:
-  Expander(const CompiledModel& model, const VerifyOptions& options, std::size_t shards)
-      : m_(model), opt_(options), shards_(shards), out_(shards) {}
+  Expander(const CompiledModel& model, const VerifyOptions& options, std::size_t shards,
+           bool record = false)
+      : m_(model), opt_(options), shards_(shards), record_(record), out_(shards) {}
 
   /// Per-target-shard successor buffers (consumed by the absorb phase).
   std::vector<std::vector<Pending>>& out() { return out_; }
   std::uint64_t transitions() const { return transitions_; }
 
   /// Expand `n`: every successor of its settled state, in deterministic
-  /// order.  Throws FoundViolation when a violating step is reachable.
+  /// order.  A null `n` seeds the search: Engine::init() mirrored
+  /// symbolically.  Throws FoundViolation when a violating step is
+  /// reachable.
   void expand(const Node* n) {
     parent_ = n;
-    parent_rank_ = n->rank;
+    parent_rank_ = n ? n->rank : 0;
     ordinal_ = 0;
-    process(*n);
-  }
-
-  /// Seed the search: Engine::init() mirrored symbolically.
-  void seed() {
-    parent_ = nullptr;
-    parent_rank_ = 0;
-    ordinal_ = 0;
-    build_initial();
+    if (n)
+      process(*n);
+    else
+      build_initial();
   }
 
  private:
@@ -512,12 +501,12 @@ class Expander {
 
   // -- zone-op helpers ------------------------------------------------------
   bool apply_constrain(Outcome& o, std::size_t i, std::size_t j, PackedBound b) {
-    o.step.ops.push_back(Op::constrain(i, j, b));
+    if (o.rec) o.rec->ops.push_back(Op::constrain(i, j, b));
     o.z.constrain(i, j, b);
     return !o.z.is_empty();
   }
   void apply_reset(Outcome& o, std::size_t clock) {
-    o.step.ops.push_back(Op::reset(clock));
+    if (o.rec) o.rec->ops.push_back(Op::reset(clock));
     o.z.reset(clock);
   }
 
@@ -603,8 +592,8 @@ class Expander {
 
   // -- PTE violation checks -------------------------------------------------
   [[noreturn]] void report(core::PteViolationKind kind, std::size_t entity,
-                           std::size_t other, std::string desc, const Step& step) {
-    throw FoundViolation{kind, entity, other, std::move(desc), step};
+                           std::size_t other, std::string desc, const Outcome& o) {
+    throw FoundViolation{kind, entity, other, std::move(desc), o.step, o.rec};
   }
 
   /// If `o.z` ∧ extra is non-empty, the violation is reachable.  The
@@ -619,7 +608,7 @@ class Expander {
     Outcome probe = o;
     probe.step.kind = step_kind;
     if (!apply_constrain(probe, extra.i, extra.j, extra.b)) return;
-    report(kind, entity, other, desc(), probe.step);
+    report(kind, entity, other, desc(), probe);
   }
 
   void entity_enter_risky(Outcome& o, std::size_t e) {
@@ -630,7 +619,7 @@ class Expander {
         report(core::PteViolationKind::kOrderEmbedding, e, e - 1,
                util::cat("xi", e, " entered risky while xi", e - 1,
                          " was in safe-locations"),
-               o.step);
+               o);
       }
       const double required = m_.monitor.t_risky_min[e - 2];
       check_timing(o, o.step.kind,
@@ -644,7 +633,7 @@ class Expander {
       report(core::PteViolationKind::kOrderEmbedding, e, e + 1,
              util::cat("xi", e, " (re)entered risky while xi", e + 1,
                        " was already risky — embedding order lost"),
-             o.step);
+             o);
     }
     o.d.risky |= bit;
     apply_reset(o, m_.clocks.risky(e));
@@ -664,7 +653,7 @@ class Expander {
       if (o.d.risky & (bit << 1)) {
         report(core::PteViolationKind::kOrderEmbedding, e, e + 1,
                util::cat("xi", e, " exited risky while xi", e + 1, " was still risky"),
-               o.step);
+               o);
       }
       if ((o.d.ever_exited & (bit << 1)) &&
           o.z.feasible(m_.clocks.safe(e + 1), m_.clocks.risky(e), packed_le(0.0))) {
@@ -679,7 +668,7 @@ class Expander {
           report(core::PteViolationKind::kExitSafeguard, e, e + 1,
                  util::cat("xi", e, " can exit risky less than T^min_safe=",
                            util::fmt_compact(required), "s after xi", e + 1),
-                 probe.step);
+                 probe);
         }
       }
     }
@@ -698,7 +687,7 @@ class Expander {
     const CompiledAutomaton& ca = m_.automata[a];
     const CompiledEdge& e = ca.edges[edge_idx];
     PTE_CHECK(o.d.loc[a] == e.src, "verify: firing edge from wrong location");
-    o.step.trace.push_back(TraceRec::fire(a, e.src, e.dst));
+    if (o.rec) o.rec->trace.push_back(TraceRec::fire(a, e.src, e.dst));
 
     for (const auto& [didx, offset] : e.deadline_sets) {
       o.d.offsets[didx] = offset;
@@ -731,9 +720,8 @@ class Expander {
         if (oc.d.losses < opt_.max_losses) {
           Outcome lost = oc;
           ++lost.d.losses;
-          lost.step.sends.push_back(
-              Step::Send{0, static_cast<std::uint32_t>(emit.dst_automaton), emit.label, true});
-          lost.step.trace.push_back(TraceRec::send(emit.label, true));
+          if (lost.rec)
+            lost.rec->trace.push_back(TraceRec::send(emit.label, true, 0, emit.dst_automaton));
           next.push_back(std::move(lost));
         }
         std::size_t slot = kNone;
@@ -747,10 +735,8 @@ class Expander {
                     "verify: too many concurrent in-flight messages — raise max_in_flight");
         oc.d.slots[slot] = make_slot(emit.label, emit.dst_automaton);
         apply_reset(oc, m_.clocks.msg(slot));
-        oc.step.sends.push_back(Step::Send{static_cast<std::uint32_t>(slot),
-                                           static_cast<std::uint32_t>(emit.dst_automaton),
-                                           emit.label, false});
-        oc.step.trace.push_back(TraceRec::send(emit.label, false));
+        if (oc.rec)
+          oc.rec->trace.push_back(TraceRec::send(emit.label, false, slot, emit.dst_automaton));
         next.push_back(std::move(oc));
       }
       cur = std::move(next);
@@ -832,6 +818,7 @@ class Expander {
     o.d = std::move(d);
     o.z = Zone(m_.clocks.count);
     o.step.kind = Step::Kind::kInit;
+    if (record_) o.rec.emplace();
 
     // Engine::init(): enter all initial locations (monitor observes risky
     // initial locations), then settle each automaton in index order.
@@ -854,6 +841,7 @@ class Expander {
     Outcome base;
     base.d = n.d;
     base.z = n.z;
+    if (record_) base.rec.emplace();
     base.z.up();
     apply_invariants(base);
     if (base.z.is_empty()) return;
@@ -963,23 +951,9 @@ class Expander {
     // the input-change budget.  Engine::set_var settles the written
     // automaton's condition edges at the same instant.
     if (base.d.input_changes < opt_.max_input_changes) {
-      // POR sleep set: when this node was reached by a *pure* toggle tj
-      // (the write settled without firing an edge, constraining the
-      // zone, or sending — its whole effect was the input_val flip), a
-      // smaller-indexed toggle ti on a Definition-2-independent
-      // automaton commutes with it exactly: neither automaton can read
-      // the other's input variable or reach it with an event, so
-      // ti-then-tj and tj-then-ti produce identical states and tj stays
-      // pure after ti.  Every {ti, tj} endpoint is reached through its
-      // ascending order, so only that order is explored.
-      const std::size_t sleep_toggle =
-          (opt_.por && n.sleep_toggle != Node::kNoToggle) ? n.sleep_toggle : kNone;
       for (std::size_t ti = 0; ti < m_.toggles.size(); ++ti) {
         const CompiledModel::CompiledToggle& tg = m_.toggles[ti];
         if (base.d.input_val[tg.input] == tg.value_index) continue;
-        if (sleep_toggle != kNone && ti < sleep_toggle &&
-            m_.por.toggle_indep[ti][sleep_toggle])
-          continue;
         const CompiledModel::InputVar& iv = m_.inputs[tg.input];
         Outcome o = base;
         o.step.kind = Step::Kind::kToggle;
@@ -987,7 +961,7 @@ class Expander {
         o.step.slot = static_cast<std::uint32_t>(ti);  // toggle index
         o.d.input_val[tg.input] = static_cast<std::uint8_t>(tg.value_index);
         ++o.d.input_changes;
-        o.step.trace.push_back(TraceRec::set(ti));
+        if (o.rec) o.rec->trace.push_back(TraceRec::set(ti));
         scratch_.clear();
         settle_sym(std::move(o), iv.automaton, 0, scratch_);
         for (Outcome& r : scratch_) emit(std::move(r));
@@ -998,6 +972,7 @@ class Expander {
   const CompiledModel& m_;
   const VerifyOptions& opt_;
   std::size_t shards_;
+  bool record_;
   std::vector<std::vector<Pending>> out_;
   const Node* parent_ = nullptr;
   std::uint64_t parent_rank_ = 0;
@@ -1201,7 +1176,7 @@ VerifyResult Checker::run() {
 
   // Round 0: the initial settle, routed through the same absorb path.
   try {
-    expanders[0].seed();
+    expanders[0].expand(nullptr);
   } catch (FoundViolation& v) {
     violation = RoundViolation{std::move(v), nullptr, 0};
   }
@@ -1338,31 +1313,44 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   //    replaying each node's ordinal from the root rebuilds the node and
   //    the step that reached it.  The rebuilt zone is the one the search
   //    expanded: exact, or extrapolated as the exact-equality store does.
+  //    Only this expander records the steps' ops, sends and narrative.
   std::vector<const Node*> path;
   for (const Node* n = rv.parent; n != nullptr; n = n->parent) path.push_back(n);
   std::reverse(path.begin(), path.end());
   std::vector<Step> steps;
-  Expander replay(m_, opt_, 1);
+  std::vector<StepRecord> records;
+  Expander replay(m_, opt_, 1, /*record=*/true);
   std::vector<Pending>& out = replay.out()[0];
   std::optional<Node> at;  // the rebuilt node expanded last
   for (const Node* n : path) {
-    if (at)
-      replay.expand(&*at);
-    else
-      replay.seed();
+    replay.expand(at ? &*at : nullptr);
     PTE_CHECK(n->ordinal < out.size() && out[n->ordinal].key == n->d.key(),
               "verify: a path node's ordinal is not in its re-derived parent's expansion");
     steps.push_back(out[n->ordinal].o.step);
+    records.push_back(std::move(*out[n->ordinal].o.rec));
     at.emplace(std::move(out[n->ordinal]));
     if (!opt_.subsumption) at->z.extrapolate(m_.max_constant);
     out.clear();
   }
-  steps.push_back(v.step);
+  // The violating step: expanding rv.parent again throws the same first
+  // violation the search caught.
+  std::optional<FoundViolation> again;
+  try {
+    replay.expand(at ? &*at : nullptr);
+  } catch (FoundViolation& fv) {
+    again = std::move(fv);
+  }
+  PTE_CHECK(again.has_value(), "verify: re-expanding a violation's parent found no violation");
+  PTE_CHECK(again->kind == v.kind && again->entity == v.entity && again->other == v.other &&
+                again->description == v.description,
+            "verify: the re-derived violation differs from the search's");
+  steps.push_back(again->step);
+  records.push_back(std::move(*again->rec));
   const std::size_t k = steps.size();
 
   // 2. Exact forward zones (no extrapolation): Z_0 = init-step ops on the
   //    zero point; Z_i = ops_i(up(Z_{i-1})).
-  auto apply_ops = [](Zone z, const Step& s) {
+  auto apply_ops = [](Zone z, const StepRecord& s) {
     for (const Op& op : s.ops) {
       if (op.kind == Op::Kind::kConstrain)
         z.constrain(op.i, op.j, op.b);
@@ -1373,11 +1361,11 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   };
   std::vector<Zone> forward;
   forward.reserve(k);
-  forward.push_back(apply_ops(Zone(m_.clocks.count), steps[0]));
+  forward.push_back(apply_ops(Zone(m_.clocks.count), records[0]));
   for (std::size_t i = 1; i < k; ++i) {
     Zone z = forward[i - 1];
     z.up();
-    forward.push_back(apply_ops(std::move(z), steps[i]));
+    forward.push_back(apply_ops(std::move(z), records[i]));
   }
   PTE_CHECK(!forward.back().is_empty(),
             "verify: abstract counterexample path is infeasible without extrapolation");
@@ -1388,7 +1376,7 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   Zone b = forward[k - 1];
   for (std::size_t i = k; i-- > 1;) {
     Zone p = b;
-    const Step& s = steps[i];
+    const StepRecord& s = records[i];
     for (std::size_t oi = s.ops.size(); oi-- > 0;) {
       const Op& op = s.ops[oi];
       if (op.kind == Op::Kind::kReset)
@@ -1409,12 +1397,12 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   std::vector<double> x(nc, 0.0);
   std::vector<double> step_time(k, 0.0);
   double t = 0.0;
-  auto run_ops = [&x](const Step& s) {
+  auto run_ops = [&x](const StepRecord& s) {
     for (const Op& op : s.ops) {
       if (op.kind == Op::Kind::kReset) x[op.i - 1] = 0.0;
     }
   };
-  run_ops(steps[0]);
+  run_ops(records[0]);
   for (std::size_t i = 1; i < k; ++i) {
     double lo = 0.0, hi = std::numeric_limits<double>::infinity();
     bool lo_strict = false;
@@ -1443,7 +1431,7 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
     t += delta;
     for (double& cv : x) cv += delta;
     step_time[i] = t;
-    run_ops(steps[i]);
+    run_ops(records[i]);
   }
 
   // 5. Assemble the counterexample script.
@@ -1458,6 +1446,7 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   std::vector<std::size_t> slot_send(m_.max_in_flight, kNone);
   for (std::size_t i = 0; i < k; ++i) {
     const Step& s = steps[i];
+    const StepRecord& rec = records[i];
     const double st = step_time[i];
     if (s.kind == Step::Kind::kInject && s.consumed)
       cx.injections.push_back(CounterexampleInjection{st, s.automaton, root_of(s.root)});
@@ -1472,15 +1461,6 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
                 "verify: delivery without a matching send");
       cx.sends[slot_send[s.slot]].deliver_time = st;
       slot_send[s.slot] = kNone;
-    }
-    for (const Step::Send& send : s.sends) {
-      CounterexampleSend cs;
-      cs.send_time = st;
-      cs.lost = send.lost;
-      cs.dst_automaton = send.dst;
-      cs.root = root_of(send.label);
-      if (!send.lost) slot_send[send.slot] = cx.sends.size();
-      cx.sends.push_back(std::move(cs));
     }
     std::string line = util::cat("[t=", util::fmt_double(st, 4), "] ");
     switch (s.kind) {
@@ -1498,17 +1478,19 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
         break;
       case Step::Kind::kViolation: line += "delay"; break;
     }
-    for (const TraceRec& tr : s.trace) {
+    for (const TraceRec& tr : rec.trace) {
       switch (tr.kind) {
         case TraceRec::Kind::kFire:
           line += util::cat("; ", m_.automata[tr.a].name, ": #", tr.b, " -> #", tr.c);
           break;
         case TraceRec::Kind::kSend:
-          line += util::cat(";   send ", root_of(tr.a));
+        case TraceRec::Kind::kLost: {
+          const bool lost = tr.kind == TraceRec::Kind::kLost;
+          if (!lost) slot_send[tr.b] = cx.sends.size();
+          cx.sends.push_back(CounterexampleSend{st, lost, 0.0, tr.c, root_of(tr.a)});
+          line += util::cat(lost ? ";   LOST " : ";   send ", root_of(tr.a));
           break;
-        case TraceRec::Kind::kLost:
-          line += util::cat(";   LOST ", root_of(tr.a));
-          break;
+        }
         case TraceRec::Kind::kSet: {
           const CompiledModel::CompiledToggle& tg = m_.toggles[tr.a];
           const CompiledModel::InputVar& iv = m_.inputs[tg.input];

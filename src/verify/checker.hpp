@@ -59,10 +59,9 @@ struct VerifyOptions {
   std::size_t threads = 1;
   /// Partial-order reduction (exact): free clocks the static analysis
   /// proves unread before their next reset (collapsing interleavings
-  /// that differ only in dead-clock ages into one stored zone), and
-  /// explore only the ascending order of back-to-back adversary input
-  /// writes on Definition-2-independent automata.  Verdicts and
-  /// counterexamples are unchanged; stored/explored state counts shrink.
+  /// that differ only in dead-clock ages into one stored zone).
+  /// Verdicts and counterexamples are unchanged; stored/explored state
+  /// counts shrink.
   bool por = true;
   /// Use the antichain passed/waiting store: drop new zones subsumed by a
   /// visited zone of the same discrete state, evict visited zones the new

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <map>
 
-#include "hybrid/independence.hpp"
 #include "util/require.hpp"
 #include "util/text.hpp"
 
@@ -384,28 +383,6 @@ CompiledModel compile_model(const VerifyInput& input, std::size_t max_in_flight)
           changed = true;
         }
       }
-    }
-  }
-
-  // Definition-2 independence matrix over the source automata, and the
-  // derived commuting-toggle table.
-  model.por.automata_independent.assign(
-      n_automata, std::vector<std::uint8_t>(n_automata, 0));
-  for (std::size_t a = 0; a < n_automata; ++a) {
-    for (std::size_t b = a + 1; b < n_automata; ++b) {
-      const bool indep =
-          static_cast<bool>(hybrid::check_independent(input.automata[a], input.automata[b]));
-      model.por.automata_independent[a][b] = indep;
-      model.por.automata_independent[b][a] = indep;
-    }
-  }
-  const std::size_t n_toggles = model.toggles.size();
-  model.por.toggle_indep.assign(n_toggles, std::vector<std::uint8_t>(n_toggles, 0));
-  for (std::size_t i = 0; i < n_toggles; ++i) {
-    for (std::size_t j = 0; j < n_toggles; ++j) {
-      const std::size_t ai = model.inputs[model.toggles[i].input].automaton;
-      const std::size_t aj = model.inputs[model.toggles[j].input].automaton;
-      model.por.toggle_indep[i][j] = ai != aj && model.por.automata_independent[ai][aj];
     }
   }
 

@@ -225,15 +225,6 @@ struct CompiledModel {
     /// automaton that owns the variable); where false, the checker
     /// frees the age clock.
     std::vector<std::vector<std::uint8_t>> deadline_live;
-    /// automata_independent[a][b]: the source automata satisfy
-    /// Definition 2 (disjoint data variables, locations, and event
-    /// roots — hybrid::check_independent).
-    std::vector<std::vector<std::uint8_t>> automata_independent;
-    /// toggle_indep[i][j]: adversary input writes i and j target
-    /// different, Definition-2-independent automata, so their
-    /// expansions commute; the checker explores only the ascending
-    /// order of back-to-back pure toggle pairs.
-    std::vector<std::vector<std::uint8_t>> toggle_indep;
   };
   PorInfo por;
 

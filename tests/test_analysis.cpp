@@ -39,7 +39,7 @@ struct TrackedHarness {
         net::ChannelConfig{0.0, 0.0, 0.0, 0.5});
     router = std::make_unique<net::NetEventRouter>(*network, *engine, built.routes);
     tracker = std::make_unique<SessionTracker>(
-        *engine, SessionTracker::fall_back_sets(*engine, {}));
+        *engine, SessionTracker::fall_back_sets(engine->automata(), {}));
     engine->init();
   }
 };
@@ -167,7 +167,7 @@ TEST(SessionTracker, FallBackSetsIncludeElaboratedChildren) {
   opt.duration = 1.0;
   casestudy::LaserTracheotomySystem sys(std::move(opt));
   const auto sets =
-      SessionTracker::fall_back_sets(sys.engine(), {"PumpIn", "PumpOut"});
+      SessionTracker::fall_back_sets(sys.engine().automata(), {"PumpIn", "PumpOut"});
   ASSERT_EQ(sets.size(), 3u);
   EXPECT_EQ(sets[0].size(), 1u);  // supervisor Fall-Back
   EXPECT_EQ(sets[1].size(), 2u);  // the two pump locations
@@ -179,8 +179,8 @@ TEST(SessionTracker, CaseStudyResetBoundUnderInterference) {
   opt.seed = 21;
   opt.duration = 900.0;
   casestudy::LaserTracheotomySystem sys(std::move(opt));
-  SessionTracker tracker(
-      sys.engine(), SessionTracker::fall_back_sets(sys.engine(), {"PumpIn", "PumpOut"}));
+  SessionTracker tracker(sys.engine(), SessionTracker::fall_back_sets(sys.engine().automata(),
+                                                                      {"PumpIn", "PumpOut"}));
   // note: attached after init — the initial Fall-Back entries were missed,
   // but all automata START in Fall-Back, so the tracker's initial state
   // (everyone home) is correct.
