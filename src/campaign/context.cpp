@@ -49,9 +49,9 @@ SimulationContext::SimulationContext(const ScenarioSpec& spec, std::uint64_t see
     standalone = compile_prototype(spec);
     prototype = &standalone;
   }
-  hybrid::EngineOptions engine_options;
-  engine_options.record_trace = spec.record_trace;
-  engine_ = std::make_unique<hybrid::Engine>(prototype->system, engine_options);
+  // A run's verdicts come from its monitor: nothing reads an engine trace.
+  engine_ = std::make_unique<hybrid::Engine>(prototype->system,
+                                             hybrid::EngineOptions{.record_trace = false});
 
   network_ = std::make_unique<net::StarNetwork>(engine_->scheduler(), rng_,
                                                 spec.config.n_remotes);

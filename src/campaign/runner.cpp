@@ -1,12 +1,11 @@
 #include "campaign/runner.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <exception>
-#include <thread>
 
 #include "campaign/context.hpp"
+#include "util/gang.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
 #include "util/text.hpp"
@@ -66,60 +65,32 @@ CampaignReport CampaignRunner::run(const std::vector<ScenarioSpec>& specs) {
 
   std::vector<RunSlot> slots(items.size());
 
-  std::size_t threads = options_.threads;
-  if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
-  threads = std::max<std::size_t>(1, std::min(threads, items.size()));
-
-  // Work claiming is chunked: one fetch_add hands a worker a contiguous
-  // block of slots instead of a single run, so the shared counter is
-  // touched ~chunk× less often and neighboring workers don't ping-pong
-  // its cache line between every (tens-of-microseconds) run.  Chunks are
-  // small enough that the tail imbalance stays below ~1% of the work.
-  const std::size_t chunk = items.empty()
-                                ? 1
-                                : std::clamp<std::size_t>(
-                                      items.size() / (threads * 16), 1, 64);
-  alignas(64) std::atomic<std::size_t> next{0};
-
-  auto worker = [&] {
-    while (true) {
-      const std::size_t begin = next.fetch_add(chunk, std::memory_order_relaxed);
-      if (begin >= items.size()) return;
-      const std::size_t end = std::min(begin + chunk, items.size());
-      for (std::size_t i = begin; i < end; ++i) {
-        const ScenarioSpec& spec = specs[items[i].spec];
-        const std::uint64_t seed = spec.seeds[items[i].seed_index];
-        RunSlot& slot = slots[i];
-        const auto t0 = steady_clock::now();
-        try {
-          if (spec.custom_run) {
-            slot.result = spec.custom_run(spec, seed);
-          } else {
-            // Raw prototype pointer: the run's only refcount bump is its
-            // engine's share of the compiled system (the runner owns the
-            // prototypes for the whole campaign).
-            SimulationContext ctx(spec, seed, prototypes[items[i].spec].get());
-            slot.result = ctx.execute();
-          }
-          slot.result.seed = seed;
-          slot.result.wall_seconds = seconds_since(t0);
-          slot.ok = true;
-        } catch (const std::exception& e) {
-          slot.error = e.what();
-        }
-      }
-    }
-  };
+  const std::size_t threads =
+      std::max<std::size_t>(1, std::min(util::resolve_threads(options_.threads), items.size()));
 
   const auto campaign_t0 = steady_clock::now();
-  if (threads <= 1) {
-    worker();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(threads);
-    for (std::size_t t = 0; t < threads; ++t) pool.emplace_back(worker);
-    for (auto& t : pool) t.join();
-  }
+  util::Gang(threads).for_each(items.size(), [&](std::size_t i, std::size_t) {
+    const ScenarioSpec& spec = specs[items[i].spec];
+    const std::uint64_t seed = spec.seeds[items[i].seed_index];
+    RunSlot& slot = slots[i];
+    const auto t0 = steady_clock::now();
+    try {
+      if (spec.custom_run) {
+        slot.result = spec.custom_run(spec, seed);
+      } else {
+        // Raw prototype pointer: the run's only refcount bump is its
+        // engine's share of the compiled system (the runner owns the
+        // prototypes for the whole campaign).
+        SimulationContext ctx(spec, seed, prototypes[items[i].spec].get());
+        slot.result = ctx.execute();
+      }
+      slot.result.seed = seed;
+      slot.result.wall_seconds = seconds_since(t0);
+      slot.ok = true;
+    } catch (const std::exception& e) {
+      slot.error = e.what();
+    }
+  });
   // Monte-Carlo throughput is judged on the Monte-Carlo phase alone;
   // exhaustive verification below has its own per-spec wall_seconds.
   const double monte_carlo_wall = seconds_since(campaign_t0);

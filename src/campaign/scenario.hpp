@@ -43,7 +43,7 @@ struct VerifySpec {
   std::size_t max_input_changes = 1;
   std::size_t max_states = 1'000'000;
   /// Worker threads for the exhaustive check; 0 (the default) resolves
-  /// to std::thread::hardware_concurrency().  The verdict and
+  /// to the hardware concurrency (util::resolve_threads).  The verdict and
   /// counterexample are bit-identical at every value; the resolved count
   /// is reported back as VerificationOutcome::threads_used.
   std::size_t threads = 0;
@@ -144,7 +144,6 @@ struct ScenarioSpec {
 
   // -- execution -----------------------------------------------------------
   double horizon = 200.0;
-  bool record_trace = false;
   /// Drives one run after init(): injections, mid-run link manipulation,
   /// staged run_until calls.  Default: run straight to the horizon.
   std::function<void(SimulationContext&)> drive;

@@ -230,10 +230,8 @@ void Engine::schedule_timed_edges(std::size_t a) {
   auto& st = states_[a];
   for (EdgeId ei : st.info->timed_edges) {
     const Edge& e = automata_[a].edge(ei);
-    const std::uint64_t epoch = st.epoch;
-    auto handle = scheduler_.schedule_at(cont_time_ + e.dwell, [this, a, ei, epoch] {
+    auto handle = scheduler_.schedule_at(cont_time_ + e.dwell, [this, a, ei] {
       auto& state = states_[a];
-      if (state.epoch != epoch) return;  // left the location; stale timeout
       const Edge& edge = automata_[a].edge(ei);
       PTE_CHECK(state.loc == edge.src, "timed edge fired from wrong location");
       const double dwell = cont_time_ - state.entry_time;
@@ -245,7 +243,6 @@ void Engine::schedule_timed_edges(std::size_t a) {
 
 void Engine::enter_location(std::size_t a, LocId loc, const std::string& trigger, LocId from) {
   auto& st = states_[a];
-  ++st.epoch;
   cancel_timed_edges(a);
   st.loc = loc;
   st.info = &system_->locations[a][loc];

@@ -5,8 +5,8 @@
 // Semantics implemented (deterministic refinement of the formalism):
 //  * Timed edges fire exactly when the continuous dwell time in their
 //    source location reaches `dwell` (urgent), realized as scheduled
-//    events guarded by a per-automaton epoch counter so stale timeouts
-//    are ignored.
+//    events that leaving the location cancels, so a stale timeout never
+//    runs.
 //  * Condition edges are urgent: they fire at the earliest time their
 //    guard becomes true.  For locations whose flows are constant-rate the
 //    crossing time is solved in closed form (exact — this covers clocks
@@ -197,7 +197,6 @@ class Engine {
     const CompiledSystem::LocationInfo* info = nullptr;
     Valuation x;
     sim::SimTime entry_time = 0.0;
-    std::uint64_t epoch = 0;
     std::vector<sim::EventHandle> timed_handles;
   };
 

@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "service/queue.hpp"
+#include "util/gang.hpp"
 #include "util/sockio.hpp"
 #include "util/text.hpp"
 
@@ -55,9 +56,7 @@ struct Server::Impl {
       : options(std::move(opts)),
         svc(options.service),
         queue(options.queue_depth),
-        worker_count(options.workers > 0
-                         ? options.workers
-                         : std::max<std::size_t>(1, std::thread::hardware_concurrency())) {}
+        worker_count(util::resolve_threads(options.workers)) {}
 
   ServerOptions options;
   api::Service svc;

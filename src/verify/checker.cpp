@@ -1,18 +1,13 @@
 #include "verify/checker.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
-#include <condition_variable>
 #include <cstring>
-#include <exception>
-#include <functional>
 #include <limits>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <unordered_map>
 
+#include "util/gang.hpp"
 #include "util/require.hpp"
 #include "util/small_vec.hpp"
 #include "util/text.hpp"
@@ -98,7 +93,6 @@ bool StateSketch::set_bits_hex(std::string_view hex) {
 namespace {
 
 constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-constexpr std::uint64_t kNoCutoff = ~std::uint64_t{0};
 
 // -- discrete state ---------------------------------------------------------
 //
@@ -337,84 +331,11 @@ struct PendingRef {
   }
 };
 
-// -- worker gang ------------------------------------------------------------
-// Persistent threads with a broadcast-and-join barrier; the checker runs
-// two phases per round (expand, absorb) on the same workers.  With one
-// worker everything runs inline on the calling thread.
-class Gang {
- public:
-  explicit Gang(std::size_t workers) : n_(workers) {
-    for (std::size_t w = 1; w < n_; ++w)
-      threads_.emplace_back([this, w] { worker_loop(w); });
-  }
-  ~Gang() {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-      ++generation_;
-    }
-    cv_.notify_all();
-    for (auto& t : threads_) t.join();
-  }
-
-  std::size_t workers() const { return n_; }
-
-  /// Run fn(w) for every w in [0, workers); blocks until all are done.
-  /// fn must not throw (workers capture errors into their shard).
-  void run(const std::function<void(std::size_t)>& fn) {
-    if (n_ == 1) {
-      fn(0);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      fn_ = &fn;
-      pending_ = n_ - 1;
-      ++generation_;
-    }
-    cv_.notify_all();
-    fn(0);
-    std::unique_lock<std::mutex> lk(mu_);
-    done_cv_.wait(lk, [this] { return pending_ == 0; });
-    fn_ = nullptr;
-  }
-
- private:
-  void worker_loop(std::size_t w) {
-    std::uint64_t seen = 0;
-    while (true) {
-      const std::function<void(std::size_t)>* fn = nullptr;
-      {
-        std::unique_lock<std::mutex> lk(mu_);
-        cv_.wait(lk, [&] { return stop_ || generation_ != seen; });
-        if (stop_) return;
-        seen = generation_;
-        fn = fn_;
-      }
-      (*fn)(w);
-      {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (--pending_ == 0) done_cv_.notify_all();
-      }
-    }
-  }
-
-  std::size_t n_;
-  std::vector<std::thread> threads_;
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::condition_variable done_cv_;
-  const std::function<void(std::size_t)>* fn_ = nullptr;
-  std::size_t pending_ = 0;
-  std::uint64_t generation_ = 0;
-  bool stop_ = false;
-};
-
 // -- symbolic expansion -----------------------------------------------------
 // One Expander per worker: re-executes the engine's instant semantics on
 // (discrete state, zone) pairs and emits successors into per-target-shard
 // buffers.  No shared mutable state — violations unwind by exception and
-// are recorded by the worker loop.  A recording expander (the
+// are recorded by the expand phase.  A recording expander (the
 // concretizer's) also records each step's zone ops, sends and narrative.
 class Expander {
  public:
@@ -1012,17 +933,14 @@ class Checker {
   };
 
   /// Per-worker shard: nodes whose discrete hash maps here, their
-  /// antichain passed/waiting store, and the current/next round lists.
-  /// Padded so neighboring shards' hot counters don't share cache lines.
+  /// antichain passed/waiting store, and the nodes it kept this round.
+  /// Padded so neighboring shards' hot fields don't share cache lines.
   struct alignas(64) Shard {
     NodeArena nodes;
     std::unordered_map<DKey, std::vector<AEntry>, DKeyHash> visited;
-    std::vector<Node*> round;  // ascending rank
     std::vector<Node*> next;   // ascending (prank, ordinal)
     std::vector<PendingRef> refs;  // absorb's canonical order, reused
     std::vector<RoundViolation> violations;
-    std::exception_ptr error;
-    std::uint64_t explored = 0;
   };
 
   /// Absorb phase for shard `w`: order every producer's pendings targeted
@@ -1073,8 +991,8 @@ class Checker {
       const std::int64_t lower = wsig.lower;
       // The new zone may subsume visited ones (only sig <= candidates;
       // entrywise widened <= widened is sufficient for set inclusion):
-      // evict them, and mark still-unexpanded victims stale so the expand
-      // phase skips them.
+      // evict them, and mark still-unexpanded victims stale so they stay
+      // out of the next frontier.
       auto le = std::upper_bound(chain.begin(), chain.end(), sig,
                                  [](std::int64_t s, const AEntry& e) { return s < e.sig; });
       auto keep = chain.begin();
@@ -1107,25 +1025,16 @@ class Checker {
     }
   }
 
-  /// Gang::run's fn must not throw — capture store failures (e.g.
-  /// bad_alloc while the antichain grows) into the shard and rethrow on
-  /// the main thread after the barrier, like the expand phase does.
-  void guarded_absorb(std::size_t w, std::vector<Expander>& expanders) {
-    try {
-      absorb(w, expanders);
-    } catch (...) {
-      shards_[w].error = std::current_exception();
-    }
-  }
-
-  /// Serial between-rounds step: merge the shards' accepted successors
-  /// (each already in canonical order) and assign global ranks.
-  std::size_t assign_ranks() {
+  /// Serial between-rounds step: merge the shards' kept nodes (each
+  /// shard's already in canonical order), assign global ranks, and build
+  /// the next frontier from the nodes no later store evicted.  A stale
+  /// node keeps its rank; it only stays out of the frontier.
+  void assign_ranks() {
     std::vector<std::size_t> cursor(shards_.size(), 0);
-    std::uint64_t rank = 0;
     std::size_t total = 0;
-    for (auto& s : shards_) total += s.next.size();
-    for (std::size_t done = 0; done < total; ++done) {
+    for (const Shard& s : shards_) total += s.next.size();
+    frontier_.clear();
+    for (std::uint64_t rank = 0; rank < total; ++rank) {
       std::size_t best = kNone;
       for (std::size_t w = 0; w < shards_.size(); ++w) {
         if (cursor[w] >= shards_[w].next.size()) continue;
@@ -1139,14 +1048,11 @@ class Checker {
             (a->prank == b->prank && a->ordinal < b->ordinal))
           best = w;
       }
-      shards_[best].next[cursor[best]]->rank = rank++;
-      ++cursor[best];
+      Node* n = shards_[best].next[cursor[best]++];
+      n->rank = rank;
+      if (!n->stale) frontier_.push_back(n);
     }
-    for (auto& s : shards_) {
-      s.round = std::move(s.next);
-      s.next.clear();
-    }
-    return total;
+    for (Shard& s : shards_) s.next.clear();
   }
 
   Counterexample concretize(const RoundViolation& rv);
@@ -1154,25 +1060,26 @@ class Checker {
   const CompiledModel& m_;
   VerifyOptions opt_;
   std::vector<Shard> shards_;
-  std::vector<Node*> work_;  // expand phase: shared rank-ordered work list
+  std::vector<Node*> frontier_;  // the round's live nodes, ascending rank
 };
 
 VerifyResult Checker::run() {
-  std::size_t threads = opt_.threads;
-  if (threads == 0)
-    threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  const std::size_t threads = util::resolve_threads(opt_.threads);
   shards_.resize(threads);
-  Gang gang(threads);
+  util::Gang gang(threads);
 
   std::vector<Expander> expanders;
   expanders.reserve(threads);
   for (std::size_t w = 0; w < threads; ++w) expanders.emplace_back(m_, opt_, threads);
+  const auto absorb_round = [&] {
+    gang.run([&](std::size_t w) { absorb(w, expanders); });
+    assign_ranks();
+  };
 
   VerifyResult result;
   std::uint64_t explored = 0;
   bool truncated = false;
   std::optional<RoundViolation> violation;
-  std::size_t in_flight = 0;
 
   // Round 0: the initial settle, routed through the same absorb path.
   try {
@@ -1180,115 +1087,57 @@ VerifyResult Checker::run() {
   } catch (FoundViolation& v) {
     violation = RoundViolation{std::move(v), nullptr, 0};
   }
-  if (!violation) {
-    gang.run([&](std::size_t w) { guarded_absorb(w, expanders); });
-    for (Shard& s : shards_)
-      if (s.error) std::rethrow_exception(s.error);
-    in_flight = assign_ranks();
-  }
+  if (!violation) absorb_round();
 
-  if (!violation) {
-    while (in_flight > 0) {
-      if (explored >= opt_.max_states) {
-        truncated = true;
-        break;
-      }
-      // Budget cutoff: only the first `remaining` non-stale nodes (in
-      // global rank order) may expand — deterministic at every
-      // thread count, like the serial FIFO's pop limit.
-      const std::uint64_t remaining = opt_.max_states - explored;
-      std::uint64_t cutoff = kNoCutoff;
-      {
-        std::uint64_t live = 0;
-        for (const Shard& s : shards_)
-          for (const Node* n : s.round)
-            if (!n->stale) ++live;
-        if (live > remaining) {
-          std::vector<std::uint64_t> ranks;
-          ranks.reserve(live);
-          for (const Shard& s : shards_)
-            for (const Node* n : s.round)
-              if (!n->stale) ranks.push_back(n->rank);
-          std::nth_element(ranks.begin(), ranks.begin() + remaining, ranks.end());
-          cutoff = ranks[remaining];
-          truncated = true;
-        }
-      }
-      // Expand phase: work stealing over one shared rank-ordered work
-      // list.  Workers claim chunks through an atomic cursor, so a
-      // worker whose nodes expand quickly steals the slack of one whose
-      // nodes branch heavily — no per-shard idle time.  Determinism is
-      // untouched: the *set* of expanded nodes is fixed before the phase
-      // starts, every successor carries its canonical (parent rank,
-      // ordinal) key, the absorb phase re-sorts before any store
-      // mutation, and violation selection takes the round's lowest rank.
-      work_.clear();
-      for (Shard& s : shards_)
-        for (Node* n : s.round)
-          if (!n->stale && n->rank < cutoff) work_.push_back(n);
-      std::sort(work_.begin(), work_.end(),
-                [](const Node* a, const Node* b) { return a->rank < b->rank; });
-      const std::size_t chunk =
-          std::clamp<std::size_t>(work_.size() / (threads * 8), 1, 64);
-      std::atomic<std::size_t> cursor{0};
-      gang.run([&](std::size_t w) {
-        Shard& mine = shards_[w];
-        Expander& ex = expanders[w];
-        while (true) {
-          const std::size_t begin = cursor.fetch_add(chunk, std::memory_order_relaxed);
-          if (begin >= work_.size()) return;
-          const std::size_t end = std::min(begin + chunk, work_.size());
-          for (std::size_t i = begin; i < end; ++i) {
-            Node* n = work_[i];
-            ++mine.explored;
-            try {
-              ex.expand(n);
-            } catch (FoundViolation& v) {
-              mine.violations.push_back(RoundViolation{std::move(v), n, n->rank});
-            } catch (...) {
-              mine.error = std::current_exception();
-              return;
-            }
-            // An expanded node's matrix is never read again (inclusion
-            // tests use the antichain's widened copy, counterexamples
-            // re-derive their zones from the root) — retire it to the
-            // pool.  The exact-equality oracle still needs it for
-            // deduplication.
-            if (opt_.subsumption) n->z = Zone(0);
-          }
-        }
-      });
-      for (Shard& s : shards_) s.round.clear();
-      for (Shard& s : shards_)
-        if (s.error) std::rethrow_exception(s.error);
-      explored = 0;
-      for (const Shard& s : shards_) explored += s.explored;
-
-      // Deterministic violation selection: the round's lowest-ranked
-      // expanding node wins, regardless of which worker found what first.
-      for (Shard& s : shards_) {
-        for (RoundViolation& rv : s.violations) {
-          if (!violation || rv.rank < violation->rank) violation = std::move(rv);
-        }
-        s.violations.clear();
-      }
-      if (violation || truncated) break;
-
-      gang.run([&](std::size_t w) { guarded_absorb(w, expanders); });
-      for (Shard& s : shards_)
-        if (s.error) std::rethrow_exception(s.error);
-      in_flight = assign_ranks();
+  while (!violation && !frontier_.empty()) {
+    // Budget cutoff: only the frontier's first `remaining` nodes (in
+    // global rank order) may expand — deterministic at every thread
+    // count, like the serial FIFO's pop limit.
+    const std::uint64_t remaining = opt_.max_states - explored;
+    if (frontier_.size() > remaining) {
+      frontier_.resize(static_cast<std::size_t>(remaining));
+      truncated = true;
     }
+    // Expand phase: work stealing over the rank-ordered frontier, so a
+    // worker whose nodes expand quickly takes the slack of one whose
+    // nodes branch heavily.  Determinism is untouched: the *set* of
+    // expanded nodes is fixed before the phase starts, every successor
+    // carries its canonical (parent rank, ordinal) key, the absorb phase
+    // re-sorts before any store mutation, and violation selection takes
+    // the round's lowest rank.
+    gang.for_each(frontier_.size(), [&](std::size_t i, std::size_t w) {
+      Node* n = frontier_[i];
+      try {
+        expanders[w].expand(n);
+      } catch (FoundViolation& v) {
+        shards_[w].violations.push_back(RoundViolation{std::move(v), n, n->rank});
+      }
+      // An expanded node's matrix is never read again (inclusion tests
+      // use the antichain's widened copy, counterexamples re-derive their
+      // zones from the root) — retire it to the pool.  The exact-equality
+      // oracle still needs it for deduplication.
+      if (opt_.subsumption) n->z = Zone(0);
+    });
+    explored += frontier_.size();
+
+    // Deterministic violation selection: the round's lowest-ranked
+    // expanding node wins, regardless of which worker found what first.
+    for (Shard& s : shards_) {
+      for (RoundViolation& rv : s.violations) {
+        if (!violation || rv.rank < violation->rank) violation = std::move(rv);
+      }
+      s.violations.clear();
+    }
+    if (violation || truncated) break;
+    absorb_round();
   }
 
   if (violation) {
     result.status = VerifyStatus::kViolation;
     result.counterexample = concretize(*violation);
   } else {
-    bool leftovers = truncated;
-    for (const Shard& s : shards_)
-      if (!s.round.empty() || !s.next.empty()) leftovers = true;
-    result.status = leftovers ? VerifyStatus::kOutOfBudget : VerifyStatus::kProved;
+    // Every break that leaves work behind sets `truncated`.
+    result.status = truncated ? VerifyStatus::kOutOfBudget : VerifyStatus::kProved;
   }
   result.states_explored = explored;
   result.threads_used = threads;

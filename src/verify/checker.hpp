@@ -51,8 +51,8 @@ struct VerifyOptions {
   /// partial "proof".
   std::size_t max_states = 1'000'000;
   /// Worker threads for the parallel exploration; 0 = hardware
-  /// concurrency.  Workers steal frontier chunks from a shared
-  /// rank-ordered work list, but every store mutation commits through
+  /// concurrency.  Workers steal chunks of the rank-ordered frontier,
+  /// but every store mutation commits through
   /// the canonical (parent rank, branch ordinal) order and the round's
   /// lowest-ranked violation wins — the result (verdict, counterexample,
   /// state counts) is bit-identical for every thread count.

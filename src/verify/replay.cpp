@@ -62,7 +62,8 @@ std::string ReplayResult::summary() const {
 }
 
 ReplayResult replay_counterexample(const VerifyInput& input, const Counterexample& cx) {
-  hybrid::Engine engine(input.automata);
+  // The verdict comes from the monitor, so the replay records no trace.
+  hybrid::Engine engine(input.automata, hybrid::EngineOptions{.record_trace = false});
   ScriptRouter router(engine, input, cx);
   engine.set_router(&router);
 

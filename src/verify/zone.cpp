@@ -28,7 +28,6 @@ constexpr PackedBound kPackedLe0 = 1;  // packed_le(0.0)
 // needs it.
 struct Pool {
   std::vector<std::vector<PackedBound*>> free_by_words;
-  Zone::PoolStats stats;
   ~Pool() {
     for (auto& bucket : free_by_words)
       for (PackedBound* p : bucket) delete[] p;
@@ -48,13 +47,11 @@ PackedBound* pool_get(std::size_t words) {
   if (words < t_pool.free_by_words.size()) {
     auto& bucket = t_pool.free_by_words[words];
     if (!bucket.empty()) {
-      ++t_pool.stats.pool_hits;
       PackedBound* p = bucket.back();
       bucket.pop_back();
       return p;
     }
   }
-  ++t_pool.stats.heap_allocs;
   return new PackedBound[words];
 }
 
@@ -159,8 +156,6 @@ Zone& Zone::operator=(Zone&& other) noexcept {
 }
 
 Zone::~Zone() { pool_put(dbm_, buffer_words(n_, clocks_)); }
-
-Zone::PoolStats Zone::pool_stats() { return t_pool.stats; }
 
 Bound Zone::at(std::size_t i, std::size_t j) const { return unpack(packed_at(i, j)); }
 

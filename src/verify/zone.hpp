@@ -211,14 +211,6 @@ class Zone {
 
   std::string str(const std::vector<std::string>& clock_names) const;
 
-  /// Free-list statistics for the calling thread (bench_zone_ops):
-  /// matrices handed out fresh from the heap vs. recycled.
-  struct PoolStats {
-    std::uint64_t heap_allocs = 0;
-    std::uint64_t pool_hits = 0;
-  };
-  static PoolStats pool_stats();
-
  private:
   static constexpr std::uint8_t kDropped = 0xFF;  // row table: no row
 

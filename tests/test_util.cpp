@@ -1,13 +1,18 @@
 // Unit tests for the util substrate: text helpers, statistics, tables,
-// CLI parsing.
+// CLI parsing, the worker gang.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "hybrid/label_table.hpp"
 #include "util/cli.hpp"
+#include "util/gang.hpp"
 #include "util/require.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -272,6 +277,59 @@ TEST(Require, MacrosThrowWithContext) {
   } catch (const std::invalid_argument& e) {
     EXPECT_NE(std::string(e.what()).find("(src/hybrid/label_table.cpp:"), std::string::npos)
         << e.what();
+  }
+}
+
+TEST(Gang, ForEachCallsFnOnceForEveryIndex) {
+  for (const std::size_t workers : {1, 2, 3, 5}) {
+    Gang gang(workers);
+    for (const std::size_t n : {0, 1, 7, 1000}) {
+      std::vector<std::atomic<int>> calls(n);
+      std::atomic<bool> worker_in_range{true};
+      gang.for_each(n, [&](std::size_t i, std::size_t w) {
+        calls[i].fetch_add(1);
+        if (w >= workers) worker_in_range = false;
+      });
+      for (std::size_t i = 0; i < n; ++i)
+        EXPECT_EQ(calls[i].load(), 1) << workers << " workers, n=" << n << ", index " << i;
+      EXPECT_TRUE(worker_in_range.load()) << workers << " workers, n=" << n;
+    }
+  }
+}
+
+TEST(Gang, OneWorkerRunsInlineOnTheCallingThread) {
+  Gang gang(1);
+  std::thread::id ran_on;
+  gang.run([&](std::size_t) { ran_on = std::this_thread::get_id(); });
+  EXPECT_EQ(ran_on, std::this_thread::get_id());
+  EXPECT_THROW(gang.run([](std::size_t) { throw std::runtime_error("inline"); }),
+               std::runtime_error);
+}
+
+TEST(Gang, RunRethrowsTheLowestThrowingWorkerOnlyAfterEveryWorkerFinished) {
+  Gang gang(4);
+  // Two workers throw at once while a third is still running: run()
+  // waits for it, then rethrows the lower thrower's exception.
+  const struct {
+    std::size_t low, high, slow;
+  } cases[] = {{1, 3, 2}, {0, 2, 3}};
+  for (const auto& c : cases) {
+    std::atomic<int> finished{0};
+    try {
+      gang.run([&](std::size_t w) {
+        if (w == c.slow) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        finished.fetch_add(1);
+        if (w == c.low || w == c.high) throw std::runtime_error(cat("worker ", w));
+      });
+      ADD_FAILURE() << "run() returned normally";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), cat("worker ", c.low));
+      EXPECT_EQ(finished.load(), 4);
+    }
+    // The gang runs again afterwards, on every worker, without a stale error.
+    std::vector<std::atomic<int>> ran(4);
+    gang.run([&](std::size_t w) { ran[w].fetch_add(1); });
+    for (std::size_t w = 0; w < ran.size(); ++w) EXPECT_EQ(ran[w].load(), 1) << "worker " << w;
   }
 }
 
