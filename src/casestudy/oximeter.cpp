@@ -27,7 +27,6 @@ void OximeterProcess::sample() {
   reading = std::clamp(reading, 0.0, 1.0);
   // Device resolution (the Nonin 9843 reports integer percent).
   reading = std::round(reading / params_.quantum) * params_.quantum;
-  last_reading_ = reading;
   ++samples_;
   engine_.set_var(supervisor_, spo2_var_, reading);
   engine_.scheduler().schedule_in(params_.period, [this] { sample(); });

@@ -26,7 +26,6 @@ class OximeterProcess {
 
   void start();
 
-  double last_reading() const { return last_reading_; }
   std::size_t samples() const { return samples_; }
 
  private:
@@ -38,7 +37,6 @@ class OximeterProcess {
   const PatientModel& patient_;
   sim::Rng rng_;
   OximeterParams params_;
-  double last_reading_ = 1.0;
   std::size_t samples_ = 0;
   bool started_ = false;
 };

@@ -41,8 +41,6 @@ struct SessionRecord {
   bool closed() const { return supervisor_back >= 0.0; }
   bool censored() const { return censored_at >= 0.0; }
 
-  /// Supervisor excursion length.
-  sim::SimTime supervisor_duration() const { return supervisor_back - supervisor_left; }
   /// Time until supervisor AND every entity are back in (projected)
   /// Fall-Back.
   sim::SimTime system_reset_duration() const;

@@ -68,8 +68,7 @@ Elaboration elaborate(const Automaton& a, const std::string& location_v,
     const LocId ni = out.add_location(loc.name, loc_v.risky);
     out.set_invariant(ni, Guard::conjunction(loc_v.invariant,
                                              loc.invariant.shifted(info.var_offset)));
-    Flow merged = Flow::merged(loc_v.flow,
-                               loc.flow.shifted(info.var_offset, a_prime.num_vars()));
+    Flow merged = Flow::merged(loc_v.flow, loc.flow.shifted(info.var_offset));
     if (clock) merged.rate(*clock, 1.0);  // accumulate dwell across A′
     out.set_flow(ni, merged);
     child_map[i] = ni;

@@ -14,10 +14,6 @@ namespace ptecps::hybrid {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Largest RK4 step for ODE locations (s).
-constexpr double kDtMax = 0.01;
-/// Bisection tolerance for ODE guard crossings (s).
-constexpr double kCrossingTol = 1e-7;
 /// Same-instant chained transitions allowed (the non-zeno guard).
 constexpr unsigned kMaxCascade = 4096;
 
@@ -36,21 +32,6 @@ const CompiledSystem::LocationInfo kUnentered{};
 const CompiledSystem& require_system(const std::shared_ptr<const CompiledSystem>& system) {
   PTE_REQUIRE(system != nullptr, "engine needs a compiled system");
   return *system;
-}
-
-/// One RK4 step of width h on valuation x under `flow`.
-void rk4_step(const Flow& flow, Valuation& x, double h) {
-  const std::size_t n = x.size();
-  Valuation k1(n), k2(n), k3(n), k4(n), tmp(n);
-  flow.eval(x, k1);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + 0.5 * h * k1[i];
-  flow.eval(tmp, k2);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + 0.5 * h * k2[i];
-  flow.eval(tmp, k3);
-  for (std::size_t i = 0; i < n; ++i) tmp[i] = x[i] + h * k3[i];
-  flow.eval(tmp, k4);
-  for (std::size_t i = 0; i < n; ++i)
-    x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
 }
 
 }  // namespace
@@ -93,8 +74,6 @@ std::shared_ptr<const CompiledSystem> compile_system(std::vector<Automaton> auto
       CompiledSystem::LocationInfo& info = locations[l];
       const Flow& flow = aut.location(l).flow;
       info.rates = flow.dense_rates(aut.num_vars());
-      info.has_ode = flow.has_ode();
-      info.needs_integration = info.has_ode;
       for (double r : info.rates) {
         if (r != 0.0) info.needs_integration = true;
       }
@@ -171,14 +150,6 @@ const Automaton& Engine::automaton(std::size_t i) const {
   return automata_[i];
 }
 
-std::size_t Engine::automaton_index(const std::string& name) const {
-  for (std::size_t i = 0; i < automata_.size(); ++i) {
-    if (automata_[i].name() == name) return i;
-  }
-  PTE_REQUIRE(false, util::cat("no automaton named '", name, "'"));
-  return 0;
-}
-
 LocId Engine::current_location(std::size_t automaton) const {
   PTE_REQUIRE(automaton < states_.size(), "automaton index out of range");
   return states_[automaton].loc;
@@ -216,9 +187,6 @@ void Engine::check_invariant(std::size_t a) {
                 inv.str(automata_[a].var_names()), inv.margin(st.x)};
   invariant_violations_.push_back(r);
   record(r);
-  PTE_REQUIRE(!options_.throw_on_invariant_violation,
-              util::cat(automata_[a].name(), " violated invariant of location '",
-                        automata_[a].location(st.loc).name, "' at t=", cont_time_));
 }
 
 void Engine::cancel_timed_edges(std::size_t a) {
@@ -364,7 +332,6 @@ void Engine::sample(std::size_t automaton, VarId v, sim::SimTime period) {
 
 sim::SimTime Engine::next_exact_crossing(std::size_t a) const {
   const auto& st = states_[a];
-  if (st.info->has_ode) return kInf;  // handled by the sampling path
   double best = kInf;
   for (EdgeId ei : st.info->condition_edges) {
     const Edge& e = automata_[a].edge(ei);
@@ -393,198 +360,58 @@ void Engine::integrate_automaton(std::size_t a, sim::SimTime from, sim::SimTime 
   auto& st = states_[a];
   if (!st.info->needs_integration || to <= from) return;
   const double h = to - from;
-  if (!st.info->has_ode) {
-    for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] += st.info->rates[i] * h;
-    return;
+  for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] += st.info->rates[i] * h;
+}
+
+bool Engine::fire_first_enabled() {
+  for (std::size_t a = 0; a < automata_.size(); ++a) {
+    auto& st = states_[a];
+    for (EdgeId ei : st.info->condition_edges) {
+      const Edge& e = automata_[a].edge(ei);
+      if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
+        scheduler_.run_until(cont_time_);
+        fire_edge(a, ei);
+        return true;
+      }
+    }
   }
-  const Flow& flow = automata_[a].location(st.loc).flow;
-  const int steps = std::max(1, static_cast<int>(std::ceil(h / kDtMax)));
-  const double dt = h / steps;
-  for (int s = 0; s < steps; ++s) rk4_step(flow, st.x, dt);
+  return false;
 }
 
 bool Engine::advance_continuous(sim::SimTime target) {
-  while (true) {
-    // 0. Fire anything already enabled (robustness against drift and
-    //    against guards enabled exactly at the current instant).
-    for (std::size_t a = 0; a < automata_.size(); ++a) {
-      auto& st = states_[a];
-      for (EdgeId ei : st.info->condition_edges) {
-        const Edge& e = automata_[a].edge(ei);
-        if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
-          scheduler_.run_until(cont_time_);
-          fire_edge(a, ei);
-          return true;
-        }
-      }
-    }
-    if (cont_time_ >= target - sim::kTimeEps) {
-      cont_time_ = std::max(cont_time_, target);
-      return false;
-    }
-
-    // 1. Earliest exact crossing among constant-rate automata.
-    sim::SimTime t_exact = kInf;
-    std::size_t xa = 0;
-    for (std::size_t a = 0; a < automata_.size(); ++a) {
-      const sim::SimTime tc = next_exact_crossing(a);
-      if (tc < t_exact) {
-        t_exact = tc;
-        xa = a;
-      }
-    }
-
-    // 2. Step horizon: ODE automata advance at most kDtMax per chunk.
-    bool any_ode = false;
-    for (const auto& st : states_) {
-      if (st.info->needs_integration && st.info->has_ode) any_ode = true;
-    }
-    sim::SimTime step_end = target;
-    if (any_ode) step_end = std::min(step_end, cont_time_ + kDtMax);
-
-    if (t_exact <= step_end + sim::kTimeEps && t_exact <= target + sim::kTimeEps) {
-      // Advance everything to the exact crossing and fire it.
-      const sim::SimTime tc = std::min(t_exact, target);
-      // Save pre-integration ODE states for bisection if an ODE automaton
-      // crosses first within [cont_time_, tc].
-      // (ODE automata are also checked below after integration.)
-      std::vector<Valuation> saved(automata_.size());
-      for (std::size_t a = 0; a < automata_.size(); ++a) {
-        if (states_[a].info->has_ode) saved[a] = states_[a].x;
-        integrate_automaton(a, cont_time_, tc);
-      }
-      const sim::SimTime t_from = cont_time_;
-      cont_time_ = tc;
-      // An ODE automaton's guard may have crossed earlier than the exact
-      // crossing; detect and bisect.
-      sim::SimTime t_ode = kInf;
-      std::size_t oa = 0;
-      EdgeId oe = 0;
-      for (std::size_t a = 0; a < automata_.size(); ++a) {
-        auto& st = states_[a];
-        if (!st.info->has_ode) continue;
-        for (EdgeId ei : st.info->condition_edges) {
-          const Edge& e = automata_[a].edge(ei);
-          if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
-            // Bisect within [t_from, tc] using the saved state.
-            double lo = 0.0, hi = tc - t_from;
-            while (hi - lo > kCrossingTol) {
-              const double mid = 0.5 * (lo + hi);
-              Valuation probe = saved[a];
-              auto& mut = states_[a];
-              std::swap(mut.x, probe);
-              integrate_automaton(a, t_from, t_from + mid);
-              const bool sat = e.guard.eval(mut.x, t_from + mid - mut.entry_time);
-              std::swap(mut.x, probe);  // restore post-tc state
-              (sat ? hi : lo) = mid;
-            }
-            if (t_from + hi < t_ode) {
-              t_ode = t_from + hi;
-              oa = a;
-              oe = ei;
-            }
-          }
-        }
-      }
-      if (t_ode < tc - sim::kTimeEps) {
-        // Re-integrate every automaton to the earlier ODE crossing.
-        for (std::size_t a = 0; a < automata_.size(); ++a) {
-          auto& st = states_[a];
-          if (st.info->has_ode) {
-            st.x = saved[a];
-            cont_time_ = t_from;  // for integrate bookkeeping only
-            integrate_automaton(a, t_from, t_ode);
-          } else {
-            const double back = tc - t_ode;
-            for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] -= st.info->rates[i] * back;
-          }
-        }
-        cont_time_ = t_ode;
-        scheduler_.run_until(t_ode);
-        const Edge& e = automata_[oa].edge(oe);
-        if (states_[oa].loc == e.src &&
-            e.guard.eval(states_[oa].x, cont_time_ - states_[oa].entry_time))
-          fire_edge(oa, oe);
-        return true;
-      }
-      for (std::size_t a = 0; a < automata_.size(); ++a) {
-        if (states_[a].info->needs_integration) check_invariant(a);
-      }
-      scheduler_.run_until(tc);
-      // The exact crossing: re-verify (a same-instant event may have moved
-      // the automaton).
-      auto& st = states_[xa];
-      for (EdgeId ei : st.info->condition_edges) {
-        const Edge& e = automata_[xa].edge(ei);
-        if (e.guard.eval(st.x, cont_time_ - st.entry_time)) {
-          fire_edge(xa, ei);
-          return true;
-        }
-      }
-      return true;  // state changed (time advanced); caller re-evaluates
-    }
-
-    // 3. No exact crossing within the chunk: tentatively integrate to
-    //    step_end and look for ODE guard crossings by sampling.
-    std::vector<Valuation> saved(automata_.size());
-    for (std::size_t a = 0; a < automata_.size(); ++a) {
-      if (states_[a].info->has_ode) saved[a] = states_[a].x;
-      integrate_automaton(a, cont_time_, step_end);
-    }
-    const sim::SimTime t_from = cont_time_;
-    cont_time_ = step_end;
-
-    sim::SimTime t_ode = kInf;
-    std::size_t oa = 0;
-    EdgeId oe = 0;
-    for (std::size_t a = 0; a < automata_.size(); ++a) {
-      auto& st = states_[a];
-      if (!st.info->has_ode) continue;
-      for (EdgeId ei : st.info->condition_edges) {
-        const Edge& e = automata_[a].edge(ei);
-        if (!e.guard.eval(st.x, cont_time_ - st.entry_time)) continue;
-        double lo = 0.0, hi = step_end - t_from;
-        while (hi - lo > kCrossingTol) {
-          const double mid = 0.5 * (lo + hi);
-          Valuation probe = saved[a];
-          auto& mut = states_[a];
-          std::swap(mut.x, probe);
-          integrate_automaton(a, t_from, t_from + mid);
-          const bool sat = e.guard.eval(mut.x, t_from + mid - mut.entry_time);
-          std::swap(mut.x, probe);
-          (sat ? hi : lo) = mid;
-        }
-        if (t_from + hi < t_ode) {
-          t_ode = t_from + hi;
-          oa = a;
-          oe = ei;
-        }
-      }
-    }
-    if (std::isfinite(t_ode)) {
-      for (std::size_t a = 0; a < automata_.size(); ++a) {
-        auto& st = states_[a];
-        if (st.info->has_ode) {
-          st.x = saved[a];
-          integrate_automaton(a, t_from, t_ode);
-        } else {
-          const double back = step_end - t_ode;
-          for (std::size_t i = 0; i < st.x.size(); ++i) st.x[i] -= st.info->rates[i] * back;
-        }
-      }
-      cont_time_ = t_ode;
-      scheduler_.run_until(t_ode);
-      const Edge& e = automata_[oa].edge(oe);
-      if (states_[oa].loc == e.src &&
-          e.guard.eval(states_[oa].x, cont_time_ - states_[oa].entry_time))
-        fire_edge(oa, oe);
-      return true;
-    }
-    for (std::size_t a = 0; a < automata_.size(); ++a) {
-      if (states_[a].info->needs_integration) check_invariant(a);
-    }
-    // Chunk completed without crossings; loop continues toward target.
+  // Fire anything already enabled (robustness against drift and against
+  // guards enabled exactly at the current instant).
+  if (fire_first_enabled()) return true;
+  if (cont_time_ >= target - sim::kTimeEps) {
+    cont_time_ = std::max(cont_time_, target);
+    return false;
   }
+
+  // Earliest exact crossing; every automaton advances linearly to it, or
+  // to the target if none comes first.
+  sim::SimTime t_exact = kInf;
+  std::size_t xa = 0;
+  for (std::size_t a = 0; a < automata_.size(); ++a) {
+    const sim::SimTime t = next_exact_crossing(a);
+    if (t < t_exact) {
+      t_exact = t;
+      xa = a;
+    }
+  }
+  const sim::SimTime tc = std::min(t_exact, target);
+  for (std::size_t a = 0; a < automata_.size(); ++a) integrate_automaton(a, cont_time_, tc);
+  cont_time_ = tc;
+  for (std::size_t a = 0; a < automata_.size(); ++a) {
+    if (states_[a].info->needs_integration) check_invariant(a);
+  }
+  if (t_exact > target + sim::kTimeEps) return fire_first_enabled();
+
+  scheduler_.run_until(tc);
+  // The crossing: re-verify (a same-instant event may have moved the
+  // automaton).  A crossing that fires nothing still advanced time; the
+  // caller re-evaluates.
+  settle_conditions(xa);
+  return true;
 }
 
 void Engine::run_until(sim::SimTime t) {

@@ -8,11 +8,9 @@
 //    events that leaving the location cancels, so a stale timeout never
 //    runs.
 //  * Condition edges are urgent: they fire at the earliest time their
-//    guard becomes true.  For locations whose flows are constant-rate the
-//    crossing time is solved in closed form (exact — this covers clocks
-//    and the ventilator cylinder).  For ODE flows, the engine integrates
-//    with RK4 in steps of at most 10 ms and bisects the crossing to
-//    within 0.1 µs (kDtMax and kCrossingTol in engine.cpp).
+//    guard becomes true.  Flows are constant-rate, so every automaton
+//    advances linearly and each crossing time is solved in closed form
+//    (exact — this covers clocks and the ventilator cylinder).
 //  * Event edges fire when the event (label root) is delivered to the
 //    automaton while an enabled receiving edge exists; otherwise the
 //    delivery is ignored (recorded in the trace).  Deliveries are routed
@@ -62,7 +60,6 @@ class BroadcastRouter final : public EventRouter {
 
 struct EngineOptions {
   bool record_trace = true;
-  bool throw_on_invariant_violation = false;
 };
 
 /// A system compiled for execution: the validated automata plus every
@@ -82,8 +79,7 @@ struct CompiledSystem {
   /// keep Automaton::edges_from order, the engine's tie-break.
   struct LocationInfo {
     std::vector<double> rates;    // dense constant rates
-    bool has_ode = false;
-    bool needs_integration = false;  // any nonzero rate or ODE
+    bool needs_integration = false;  // any nonzero rate
     std::vector<EdgeId> condition_edges;
     std::vector<std::pair<EdgeId, LabelId>> event_edges;  // edge + trigger id
     std::vector<EdgeId> timed_edges;
@@ -165,7 +161,6 @@ class Engine {
   std::size_t num_automata() const { return automata_.size(); }
   const std::vector<Automaton>& automata() const { return automata_; }
   const Automaton& automaton(std::size_t i) const;
-  std::size_t automaton_index(const std::string& name) const;
 
   LocId current_location(std::size_t automaton) const;
   const std::string& current_location_name(std::size_t automaton) const;
@@ -212,12 +207,17 @@ class Engine {
   /// One add_sampler tick: record the sample, then reschedule itself.
   void sample(std::size_t automaton, VarId var, sim::SimTime period);
 
-  /// Integrate all automata from cont_time_ to `target`; if a condition
+  /// Advance all automata from cont_time_ to `target`; if a condition
   /// edge crossing occurs earlier, stop there, fire it (+ cascades) and
-  /// return true.  Otherwise advance to target and return false.
+  /// return true.  Otherwise advance to target and return whether a
+  /// condition edge enabled there fired.
   bool advance_continuous(sim::SimTime target);
-  /// Earliest exact crossing time (constant-rate automata), or +inf.
+  /// Fire the first condition edge enabled now, scanning automata in
+  /// index order; false if none is.
+  bool fire_first_enabled();
+  /// Earliest exact crossing time of automaton `a`'s condition edges, or +inf.
   sim::SimTime next_exact_crossing(std::size_t a) const;
+  /// Advance automaton `a`'s variables along its constant rates.
   void integrate_automaton(std::size_t a, sim::SimTime from, sim::SimTime to);
   void record(TraceRecord r);
   void check_invariant(std::size_t a);

@@ -18,13 +18,6 @@ Flow& Flow::rate(VarId v, double r) {
   return *this;
 }
 
-Flow& Flow::ode(OdeFn fn, std::string description) {
-  PTE_REQUIRE(fn != nullptr, "null ODE callback");
-  ode_ = std::move(fn);
-  ode_description_ = std::move(description);
-  return *this;
-}
-
 double Flow::rate_of(VarId v) const {
   for (const auto& [rv, rr] : rates_) {
     if (rv == v) return rr;
@@ -41,31 +34,9 @@ std::vector<double> Flow::dense_rates(std::size_t n) const {
   return out;
 }
 
-void Flow::eval(const Valuation& x, Valuation& xdot) const {
-  std::fill(xdot.begin(), xdot.end(), 0.0);
-  for (const auto& [v, r] : rates_) {
-    PTE_REQUIRE(v < xdot.size(), "flow references variable outside valuation");
-    xdot[v] = r;
-  }
-  if (ode_) ode_(x, xdot);
-}
-
-Flow Flow::shifted(std::size_t offset, std::size_t own_vars) const {
+Flow Flow::shifted(std::size_t offset) const {
   Flow f;
   for (const auto& [v, r] : rates_) f.rates_.emplace_back(v + offset, r);
-  if (ode_) {
-    OdeFn inner = ode_;
-    f.ode_ = [inner, offset, own_vars](const Valuation& x, Valuation& xdot) {
-      // Present the child ODE with a view of its own variables only.
-      Valuation sub_x(x.begin() + static_cast<std::ptrdiff_t>(offset),
-                      x.begin() + static_cast<std::ptrdiff_t>(offset + own_vars));
-      Valuation sub_dot(own_vars, 0.0);
-      for (std::size_t i = 0; i < own_vars; ++i) sub_dot[i] = xdot[offset + i];
-      inner(sub_x, sub_dot);
-      for (std::size_t i = 0; i < own_vars; ++i) xdot[offset + i] = sub_dot[i];
-    };
-    f.ode_description_ = ode_description_;
-  }
   return f;
 }
 
@@ -73,21 +44,6 @@ Flow Flow::merged(const Flow& a, const Flow& b) {
   Flow f;
   f.rates_ = a.rates_;
   for (const auto& [v, r] : b.rates_) f.rate(v, r);
-  if (a.ode_ && b.ode_) {
-    OdeFn fa = a.ode_;
-    OdeFn fb = b.ode_;
-    f.ode_ = [fa, fb](const Valuation& x, Valuation& xdot) {
-      fa(x, xdot);
-      fb(x, xdot);
-    };
-    f.ode_description_ = a.ode_description_ + "+" + b.ode_description_;
-  } else if (a.ode_) {
-    f.ode_ = a.ode_;
-    f.ode_description_ = a.ode_description_;
-  } else if (b.ode_) {
-    f.ode_ = b.ode_;
-    f.ode_description_ = b.ode_description_;
-  }
   return f;
 }
 
@@ -98,7 +54,6 @@ std::string Flow::str(const std::vector<std::string>& var_names) const {
     const std::string name = v < var_names.size() ? var_names[v] : util::cat("x", v);
     parts.push_back(util::cat("d", name, "/dt = ", util::fmt_compact(r)));
   }
-  if (ode_) parts.push_back(ode_description_);
   if (parts.empty()) return "frozen";
   return util::join(parts, ", ");
 }
@@ -111,7 +66,6 @@ std::string Flow::canonical() const {
     if (r == 0.0) continue;
     out += util::cat("x", v, "'=", util::fmt_compact(r), ";");
   }
-  if (ode_) out += "ode(" + ode_description_ + ");";
   return out;
 }
 

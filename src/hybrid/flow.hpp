@@ -1,19 +1,12 @@
 // Flow maps (§II-A.4): per-location differential equations ẋ = f_v(x).
 //
-// Two representations, chosen per location:
-//  * constant-rate flows  — ẋ_k = r_k.  This covers clocks (rate 1),
-//    frozen variables (rate 0) and the case study's ventilator cylinder
-//    (±0.1 m/s).  Constant rates are integrated exactly and guard
-//    crossings are solved in closed form.
-//  * general ODE flows    — an arbitrary f(x, ẋ) callback, integrated by
-//    RK4 with crossing detection by sampling + bisection.  Used by the
-//    patient physiology model.
-// A location's flow may combine both: the ODE callback overrides the
-// constant rates only for the variables it writes (it receives ẋ
-// pre-filled with the constant rates).
+// Every flow is constant-rate: ẋ_k = r_k.  This covers clocks (rate 1),
+// frozen variables (rate 0) and the case study's ventilator cylinder
+// (±0.1 m/s).  Constant rates are integrated exactly and guard crossings
+// are solved in closed form.  (The patient's physiology is not a flow: it
+// is an environment process the scheduler steps, see casestudy/patient.hpp.)
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -23,17 +16,10 @@ namespace ptecps::hybrid {
 
 class Flow {
  public:
-  using OdeFn = std::function<void(const Valuation& x, Valuation& xdot)>;
-
   Flow() = default;
 
   /// Set the constant rate of one variable.
   Flow& rate(VarId v, double r);
-
-  /// Install a general ODE callback (see class comment).
-  Flow& ode(OdeFn fn, std::string description = "ode");
-
-  bool has_ode() const { return static_cast<bool>(ode_); }
 
   /// Constant rate of variable v (0 if unset).
   double rate_of(VarId v) const;
@@ -41,15 +27,11 @@ class Flow {
   /// Dense rate vector of length n (missing entries are 0).
   std::vector<double> dense_rates(std::size_t n) const;
 
-  /// Fill xdot for state x: constant rates first, then the ODE callback.
-  void eval(const Valuation& x, Valuation& xdot) const;
+  /// True iff no rate was set (so every variable is frozen).
+  bool is_zero() const { return rates_.empty(); }
 
-  /// True iff every variable is frozen and there is no ODE.
-  bool is_zero() const { return !ode_ && rates_.empty(); }
-
-  /// Shift variable indices by `offset` into a larger variable space of
-  /// size `total`; the ODE callback is wrapped to act on its sub-range.
-  Flow shifted(std::size_t offset, std::size_t own_vars) const;
+  /// Shift variable indices by `offset` into a larger variable space.
+  Flow shifted(std::size_t offset) const;
 
   /// Merge two flows over disjoint variable sets (elaboration: parent
   /// flow at the elaborated location + child location flow).
@@ -60,8 +42,6 @@ class Flow {
 
  private:
   std::vector<std::pair<VarId, double>> rates_;
-  OdeFn ode_;
-  std::string ode_description_;
 };
 
 }  // namespace ptecps::hybrid

@@ -6,44 +6,28 @@
 namespace ptecps::hybrid {
 
 Reset& Reset::set(VarId v, double value) {
-  assignments_.push_back(Assignment{v, Kind::kConstant, value, nullptr, ""});
+  assignments_.push_back(Assignment{v, Kind::kConstant, value});
   return *this;
 }
 
 Reset& Reset::set_now_plus(VarId v, double offset) {
-  assignments_.push_back(Assignment{v, Kind::kNowPlus, offset, nullptr, ""});
-  return *this;
-}
-
-Reset& Reset::set_fn(VarId v, ValueFn fn, std::string description) {
-  PTE_REQUIRE(fn != nullptr, "null reset callback");
-  assignments_.push_back(Assignment{v, Kind::kFn, 0.0, std::move(fn), std::move(description)});
+  assignments_.push_back(Assignment{v, Kind::kNowPlus, offset});
   return *this;
 }
 
 void Reset::apply(sim::SimTime now, Valuation& x) const {
-  if (assignments_.empty()) return;
-  // Per §II-A.7, the reset maps the *pre-transition* data state; evaluate
-  // all right-hand sides against a snapshot so assignment order does not
-  // matter.
-  const Valuation before = x;
   for (const auto& a : assignments_) {
     PTE_REQUIRE(a.var < x.size(), "reset writes variable outside valuation");
     switch (a.kind) {
       case Kind::kConstant: x[a.var] = a.value; break;
       case Kind::kNowPlus: x[a.var] = now + a.value; break;
-      case Kind::kFn: x[a.var] = a.fn(now, before); break;
     }
   }
 }
 
 Reset Reset::shifted(std::size_t offset) const {
-  Reset r;
-  for (const auto& a : assignments_) {
-    Assignment shifted_a = a;
-    shifted_a.var = a.var + offset;
-    r.assignments_.push_back(std::move(shifted_a));
-  }
+  Reset r = *this;
+  for (auto& a : r.assignments_) a.var += offset;
   return r;
 }
 
@@ -58,9 +42,6 @@ std::string Reset::str(const std::vector<std::string>& var_names) const {
         break;
       case Kind::kNowPlus:
         parts.push_back(util::cat(name, " := t + ", util::fmt_compact(a.value)));
-        break;
-      case Kind::kFn:
-        parts.push_back(util::cat(name, " := ", a.description));
         break;
     }
   }
@@ -77,19 +58,8 @@ std::string Reset::canonical() const {
       case Kind::kNowPlus:
         out += util::cat("x", a.var, ":=t+", util::fmt_compact(a.value), ";");
         break;
-      case Kind::kFn:
-        out += util::cat("x", a.var, ":=fn(", a.description, ");");
-        break;
     }
   }
-  return out;
-}
-
-std::vector<Reset::AssignmentView> Reset::assignments() const {
-  std::vector<AssignmentView> out;
-  out.reserve(assignments_.size());
-  for (const auto& a : assignments_)
-    out.push_back(AssignmentView{a.var, a.kind, a.kind == Kind::kFn ? 0.0 : a.value});
   return out;
 }
 

@@ -1,12 +1,13 @@
 // Reset functions (§II-A.7): applied to the data state vector when a
 // discrete transition is taken.  A reset is a list of assignments; every
 // variable not assigned keeps its value (the identity reset of Fig. 2 is
-// an empty list).  Assignments may depend on the pre-transition valuation
-// and on the current simulated time — the lease design pattern records
-// supervisor-side lease deadlines as `D_i := now + constant`.
+// an empty list).  An assignment sets a constant, `x := c`, or a value
+// relative to the current simulated time — the lease design pattern
+// records supervisor-side lease deadlines as `D_i := now + c`.  No
+// right-hand side reads the valuation, so assignment order does not
+// matter.
 #pragma once
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -17,7 +18,14 @@ namespace ptecps::hybrid {
 
 class Reset {
  public:
-  using ValueFn = std::function<double(sim::SimTime now, const Valuation& before)>;
+  enum class Kind { kConstant, kNowPlus };
+
+  /// One assignment x_var := value (kConstant) or now + value (kNowPlus).
+  struct Assignment {
+    VarId var = 0;
+    Kind kind = Kind::kConstant;
+    double value = 0.0;
+  };
 
   Reset() = default;
 
@@ -26,9 +34,6 @@ class Reset {
 
   /// x_v := now + offset   (lease deadline bookkeeping)
   Reset& set_now_plus(VarId v, double offset);
-
-  /// x_v := fn(now, pre-transition valuation)
-  Reset& set_fn(VarId v, ValueFn fn, std::string description);
 
   bool is_identity() const { return assignments_.empty(); }
 
@@ -42,25 +47,11 @@ class Reset {
   /// Variables written by this reset (for validation).
   std::vector<VarId> written() const;
 
-  enum class Kind { kConstant, kNowPlus, kFn };
-
-  /// Structural view of one assignment (verification front-ends compile
-  /// resets symbolically; kFn assignments are opaque to them).
-  struct AssignmentView {
-    VarId var;
-    Kind kind;
-    double value;  // constant (kConstant) or now-offset (kNowPlus); 0 for kFn
-  };
-  std::vector<AssignmentView> assignments() const;
+  /// The assignments in order (verification front-ends compile resets
+  /// symbolically).
+  const std::vector<Assignment>& assignments() const { return assignments_; }
 
  private:
-  struct Assignment {
-    VarId var;
-    Kind kind;
-    double value;  // constant or now-offset
-    ValueFn fn;
-    std::string description;
-  };
   std::vector<Assignment> assignments_;
 };
 

@@ -1,6 +1,7 @@
 #include "hybrid/wellformed.hpp"
 
 #include <algorithm>
+#include <functional>
 #include <queue>
 
 #include "util/text.hpp"

@@ -77,7 +77,6 @@ class Channel {
 
   const ChannelStats& stats() const { return stats_; }
   const LossModel& loss_model() const { return *loss_; }
-  LossModel& loss_model_mut() { return *loss_; }
   /// Swap the loss model at runtime (scenario scripting).
   void set_loss_model(std::unique_ptr<LossModel> loss);
 

@@ -79,7 +79,6 @@ bool Scheduler::step() {
   --live_;
   PTE_CHECK(entry.at >= now_ - kTimeEps, "event queue went backwards in time");
   now_ = std::max(now_, entry.at);
-  ++executed_;
   cb();
   return true;
 }

@@ -69,7 +69,6 @@ class Scheduler {
   /// accidental infinite event chains.
   void run(std::uint64_t max_events = 100'000'000ULL);
 
-  std::uint64_t executed_events() const { return executed_; }
   std::uint64_t pending_events() const { return live_; }
 
   /// Slab capacity (allocated slots, live or free) — observability for the
@@ -108,7 +107,6 @@ class Scheduler {
 
   SimTime now_ = 0.0;
   std::uint64_t next_seq_ = 0;
-  std::uint64_t executed_ = 0;
   std::uint64_t live_ = 0;
   std::priority_queue<Entry, std::vector<Entry>, EntryLater> queue_;
   std::vector<Slot> slots_;

@@ -1,7 +1,7 @@
 // Simulated time.  The whole library measures time in seconds as double;
 // SimTime is an alias (not a strong type) because time values flow through
-// ODE integration arithmetic constantly.  The epsilon helpers centralize
-// the tolerance used when comparing event times.
+// flow and crossing-time arithmetic constantly.  kTimeEps centralizes the
+// tolerance used when comparing event times.
 #pragma once
 
 #include <cmath>
@@ -15,12 +15,6 @@ inline constexpr SimTime kTimeEps = 1e-9;
 
 /// a == b up to kTimeEps.
 inline bool time_eq(SimTime a, SimTime b) { return std::fabs(a - b) <= kTimeEps; }
-
-/// a < b by more than kTimeEps.
-inline bool time_lt(SimTime a, SimTime b) { return a < b - kTimeEps; }
-
-/// a <= b up to kTimeEps.
-inline bool time_le(SimTime a, SimTime b) { return a <= b + kTimeEps; }
 
 inline constexpr SimTime kSimTimeInfinity = 1e18;
 

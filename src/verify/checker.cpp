@@ -34,13 +34,6 @@ std::size_t StateSketch::popcount() const {
   return count;
 }
 
-std::size_t StateSketch::novel_bits(const StateSketch& seen) const {
-  std::size_t count = 0;
-  for (std::size_t i = 0; i < kWords; ++i)
-    count += static_cast<std::size_t>(std::popcount(bits[i] & ~seen.bits[i]));
-  return count;
-}
-
 std::size_t StateSketch::merge(const StateSketch& other) {
   std::size_t fresh = 0;
   for (std::size_t i = 0; i < kWords; ++i) {
@@ -1254,17 +1247,13 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
   run_ops(records[0]);
   for (std::size_t i = 1; i < k; ++i) {
     double lo = 0.0, hi = std::numeric_limits<double>::infinity();
-    bool lo_strict = false;
     for (std::size_t c = 1; c <= nc; ++c) {
       const Bound ub = pre[i].at(c, 0);
       if (!ub.is_inf()) hi = std::min(hi, ub.value - x[c - 1]);
       const Bound lb = pre[i].at(0, c);
       if (!lb.is_inf()) {
         const double cand = -lb.value - x[c - 1];
-        if (cand > lo || (cand == lo && lb.strict)) {
-          lo = std::max(lo, cand);
-          lo_strict = lb.strict;
-        }
+        if (cand > lo) lo = cand;
       }
     }
     PTE_CHECK(lo <= hi + 1e-6, "verify: concretization found an empty delay interval");
@@ -1274,7 +1263,6 @@ Counterexample Checker::concretize(const RoundViolation& rv) {
     // engine's same-instant FIFO (e.g. a pre-scheduled set_var vs. a
     // delivery), flipping the order the abstract path requires.  Any
     // interior point still lands in the backward-feasible suffix set.
-    (void)lo_strict;
     const double width = (std::isinf(hi) ? 1.0 : hi) - delta;
     if (width > 1e-9) delta += std::min(1e-4, width * 0.5);
     t += delta;

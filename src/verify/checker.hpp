@@ -145,9 +145,6 @@ struct StateSketch {
   void add(std::uint64_t h1, std::uint64_t h2);
   /// Population count of the presence bitmap.
   std::size_t popcount() const;
-  /// Bits set here that `seen` does not have — the novelty of this run
-  /// against an accumulated coverage map.
-  std::size_t novel_bits(const StateSketch& seen) const;
   /// OR `other`'s presence bits into this sketch, returning how many bits
   /// were newly set.  Union sketches track campaign-wide coverage; their
   /// `distinct` stays untouched (it only counts keys added directly).

@@ -33,14 +33,6 @@ std::vector<VarInfo> classify_vars(const hybrid::Automaton& aut) {
     }
   }
 
-  for (hybrid::LocId l = 0; l < aut.num_locations(); ++l) {
-    PTE_REQUIRE(!aut.location(l).flow.has_ode(),
-                util::cat("verify: automaton '", aut.name(), "' location '",
-                          aut.location(l).name,
-                          "' has an ODE flow — outside the timed fragment (use "
-                          "monte-carlo mode, or verify the pattern projection)"));
-  }
-
   for (hybrid::VarId v = 0; v < aut.num_vars(); ++v) {
     bool always_one = true;
     bool always_zero = true;

@@ -22,12 +22,13 @@
 // clock variables that are rate 1 in every location and never reset;
 // frozen variables written only by set_now_plus resets; frozen constant
 // inputs; guards that are conjunctions of (a) constraints over constant
-// inputs and (b) single differences "clock - deadline" against a bound;
-// no ODE flows.  This covers the §IV-A pattern automata for any N and
-// any timed elaboration that does not add multi-rate continuous state;
-// the case study's physiology (ODE) and the ventilator cylinder (±0.1
-// rate) are out of fragment — their PTE safety follows from the pattern
-// projection (Theorem 2), which is what this verifier checks.
+// inputs and (b) single differences "clock - deadline" against a bound.
+// This covers the §IV-A pattern automata for any N and any timed
+// elaboration that does not add multi-rate continuous state; the case
+// study's ventilator cylinder (±0.1 rate) is out of fragment — its PTE
+// safety follows from the pattern projection (Theorem 2), which is what
+// this verifier checks.  (The patient's physiology is an environment
+// process, not an automaton, so it never reaches the verifier.)
 #pragma once
 
 #include <cstdint>

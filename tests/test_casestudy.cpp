@@ -8,6 +8,8 @@
 #include "hybrid/independence.hpp"
 #include "hybrid/structural.hpp"
 #include "hybrid/wellformed.hpp"
+#include "util/digest.hpp"
+#include "util/json.hpp"
 
 namespace ptecps::casestudy {
 namespace {
@@ -137,6 +139,38 @@ TEST(Trial, PerfectLinksManySessionsAllSafe) {
   EXPECT_EQ(r.failures, 0u) << r.summary();
   EXPECT_GE(r.emissions, 5u);
   EXPECT_EQ(r.fire_events, 0u);
+}
+
+TEST(Trial, TransitionTimesArePinned) {
+  // Every location change of four trials (lease on/off x elaborated/bare
+  // ventilator), with its instant, plus each trial's Table I summary.  The
+  // elaborated ventilator's pump is the one automaton here with non-unit
+  // rates and location invariants, so a shift in any crossing the engine
+  // solves moves this digest even where the Table I counts stay put.
+  util::Json trials = util::Json::array();
+  for (const bool lease : {true, false}) {
+    for (const bool elaborate : {true, false}) {
+      TrialOptions opt;
+      opt.seed = 1;
+      opt.duration = 600.0;
+      opt.with_lease = lease;
+      opt.elaborate_ventilator = elaborate;
+      opt.record_trace = true;
+      LaserTracheotomySystem sys(opt);
+      sys.run(opt.duration);
+      util::Json transitions = util::Json::array();
+      for (const hybrid::TraceRecord& r : sys.engine().trace().records()) {
+        if (r.kind == hybrid::TraceKind::kTransition)
+          transitions.push_back(util::Json::Array{r.t, r.automaton, r.to});
+      }
+      util::Json trial = util::Json::object();
+      trial.set("summary", sys.result().summary());
+      trial.set("transitions", std::move(transitions));
+      trials.push_back(std::move(trial));
+    }
+  }
+  EXPECT_EQ(util::Sha256::hex(trials.dump_canonical()),
+            "bbaa1b52b19b59fb76326eb93571c9391db0505f20f7f04952b43d7abf342ad2");
 }
 
 }  // namespace

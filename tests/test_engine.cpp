@@ -1,9 +1,7 @@
-// Execution-engine semantics: timed edges, event edges, condition-edge
-// crossings (exact and ODE-bisected), cascades, resets, invariants,
-// samplers and deterministic tie-breaking.
+// Execution-engine semantics: timed edges, event edges, exact
+// condition-edge crossings, cascades, resets, invariants, samplers and
+// deterministic tie-breaking.
 #include <gtest/gtest.h>
-
-#include <cmath>
 
 #include "hybrid/automaton.hpp"
 #include "hybrid/engine.hpp"
@@ -131,30 +129,6 @@ TEST(Engine, VentilatorSawtoothHasPeriodSix) {
   // Count transitions: initial + one every 3 s after t=0 (at 3,6,9,12,15,18).
   const auto transitions = engine.trace().filter(TraceKind::kTransition, 0);
   EXPECT_EQ(transitions.size(), 1u /*init*/ + 1u /*t=0 fire*/ + 6u);
-}
-
-TEST(Engine, OdeCrossingBisection) {
-  // dx/dt = -x (exponential decay from 8); edge at x <= 4 fires at ln(2).
-  Automaton a("decay");
-  const VarId x = a.add_var("x", 8.0);
-  const LocId s0 = a.add_location("s0");
-  const LocId s1 = a.add_location("s1");
-  a.set_flow(s0, Flow{}.ode([](const Valuation& v, Valuation& d) { d[0] = -v[0]; },
-                            "dx/dt=-x"));
-  Edge e;
-  e.src = s0;
-  e.dst = s1;
-  e.kind = TriggerKind::kCondition;
-  e.guard = Guard{atmost(x, 4.0)};
-  a.add_edge(std::move(e));
-  a.add_initial_location(s0);
-
-  Engine engine({std::move(a)});
-  engine.init();
-  engine.run_until(5.0);
-  EXPECT_EQ(engine.current_location_name(0), "s1");
-  EXPECT_NEAR(engine.location_entry_time(0), std::log(2.0), 1e-4);
-  EXPECT_NEAR(engine.var(0, x), 4.0, 1e-3);
 }
 
 TEST(Engine, EmissionDeliveredToReceiverSameInstant) {
@@ -343,36 +317,6 @@ TEST(Engine, SelfLoopTimedEdgeRetriggers) {
   EXPECT_EQ(engine.trace().filter(TraceKind::kEmit, 0).size(), 5u);
 }
 
-TEST(Engine, TwoOdeAutomataCrossIndependently) {
-  // Two decaying automata with different thresholds: crossings must fire
-  // in the right global order even though both need bisection.
-  auto make_decay = [](const std::string& name, double init, double threshold) {
-    Automaton a(name);
-    const VarId x = a.add_var(name + "_x", init);
-    const LocId s0 = a.add_location(name + "_hi");
-    const LocId s1 = a.add_location(name + "_lo");
-    a.set_flow(s0, Flow{}.ode([](const Valuation& v, Valuation& d) { d[0] = -v[0]; },
-                              "decay"));
-    Edge e;
-    e.src = s0;
-    e.dst = s1;
-    e.kind = TriggerKind::kCondition;
-    e.guard = Guard{atmost(x, threshold)};
-    a.add_edge(std::move(e));
-    a.add_initial_location(s0);
-    return a;
-  };
-  // a: 8 -> 4 at ln2 ≈ 0.693; b: 8 -> 2 at ln4 ≈ 1.386.
-  Engine engine({make_decay("a", 8.0, 4.0), make_decay("b", 8.0, 2.0)});
-  engine.init();
-  engine.run_until(0.9);
-  EXPECT_EQ(engine.current_location_name(0), "a_lo");
-  EXPECT_EQ(engine.current_location_name(1), "b_hi");
-  engine.run_until(2.0);
-  EXPECT_EQ(engine.current_location_name(1), "b_lo");
-  EXPECT_NEAR(engine.location_entry_time(1), std::log(4.0), 1e-3);
-}
-
 TEST(Engine, SimultaneousTimedEdgesDeterministicOrder) {
   // Two automata with identical deadlines: the one scheduled first
   // (lower index, inserted first at init) fires first; its emission can
@@ -416,20 +360,6 @@ TEST(Engine, SimultaneousTimedEdgesDeterministicOrder) {
   // FIFO tie-break: first's timeout ran first, its broadcast moved second
   // to s2 before second's own (now stale) timeout could fire.
   EXPECT_EQ(engine.current_location_name(1), "s2");
-}
-
-TEST(Engine, ThrowOnInvariantViolationOption) {
-  Automaton a("strict");
-  const VarId x = a.add_var("x", 0.0);
-  const LocId s0 = a.add_location("s0");
-  a.set_invariant(s0, Guard{atmost(x, 1.0)});
-  a.set_flow(s0, Flow{}.rate(x, 1.0));
-  a.add_initial_location(s0);
-  EngineOptions options;
-  options.throw_on_invariant_violation = true;
-  Engine engine({std::move(a)}, options);
-  engine.init();
-  EXPECT_THROW(engine.run_until(3.0), std::invalid_argument);
 }
 
 TEST(Engine, EventEdgeGuardFiltersDelivery) {

@@ -121,28 +121,12 @@ TEST(Flow, ConstantRatesAndDense) {
   EXPECT_TRUE(Flow{}.is_zero());
 }
 
-TEST(Flow, OdeOverridesSelectedVariables) {
-  Flow f;
-  f.rate(0, 1.0);
-  f.ode([](const Valuation& x, Valuation& d) { d[1] = -x[1]; }, "decay");
-  Valuation x{0.0, 4.0};
-  Valuation d(2);
-  f.eval(x, d);
-  EXPECT_DOUBLE_EQ(d[0], 1.0);   // constant rate survives
-  EXPECT_DOUBLE_EQ(d[1], -4.0);  // ODE wrote its variable
-}
-
 TEST(Flow, ShiftedActsOnSubRange) {
   Flow f;
   f.rate(0, 3.0);
-  f.ode([](const Valuation& x, Valuation& d) { d[1] = x[0]; }, "couple");
-  const Flow s = f.shifted(2, 2);  // child vars at [2, 4)
-  Valuation x{9.0, 9.0, 1.5, 0.0};
-  Valuation d(4);
-  s.eval(x, d);
-  EXPECT_DOUBLE_EQ(d[2], 3.0);
-  EXPECT_DOUBLE_EQ(d[3], 1.5);  // sees child x[0] = global x[2]
-  EXPECT_DOUBLE_EQ(d[0], 0.0);
+  f.rate(1, -0.5);
+  const Flow s = f.shifted(2);  // child vars at [2, 4)
+  EXPECT_EQ(s.dense_rates(4), (std::vector<double>{0.0, 0.0, 3.0, -0.5}));
 }
 
 TEST(Flow, MergedDisjointFlows) {
@@ -153,16 +137,6 @@ TEST(Flow, MergedDisjointFlows) {
   const Flow m = Flow::merged(a, b);
   EXPECT_DOUBLE_EQ(m.rate_of(0), 1.0);
   EXPECT_DOUBLE_EQ(m.rate_of(1), -2.0);
-}
-
-TEST(Reset, AppliesAgainstPreTransitionSnapshot) {
-  Reset r;
-  r.set_fn(0, [](sim::SimTime, const Valuation& before) { return before[1] * 2.0; }, "2*x1");
-  r.set_fn(1, [](sim::SimTime, const Valuation& before) { return before[0] + 1.0; }, "x0+1");
-  Valuation x{10.0, 3.0};
-  r.apply(0.0, x);
-  EXPECT_DOUBLE_EQ(x[0], 6.0);   // from old x1
-  EXPECT_DOUBLE_EQ(x[1], 11.0);  // from old x0 — order independent
 }
 
 TEST(Reset, NowPlusAndShift) {
